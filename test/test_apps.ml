@@ -97,6 +97,79 @@ let test_cg_with_checkpoint () =
 let test_is_with_checkpoint () =
   ckpt_case ~prog:"nas:is" ~short:"is" ~extra:[ "20000"; "200" ] ~warmup:0.5 ()
 
+(* Pinned IS images: 8 ranks checkpointed at a fixed instant mid-round,
+   when some ranks are still collecting their buckets (unsorted received
+   keys, messages in flight) and the rest hold sorted buckets.  The CRC-32
+   of every rank's image and the result line are constants: a change to
+   the IS kernel must keep its images and its answer byte-identical. *)
+let is_pinned_crcs =
+  [| 212003075l; 1478931592l; -89663609l; -508729975l; 139436896l; 684464563l; -1092563954l;
+     -2114854787l |]
+
+let is_pinned_result = "IS VERIFIED 20082"
+
+(* CRC-32 of an image's two section payloads.  Each section ends in its
+   own CRC-32 trailer, and a CRC run over bytes followed by their CRC
+   always leaves the same register, so a digest of the raw file would see
+   little more than the section lengths. *)
+let image_crc bytes =
+  let module R = Util.Codec.Reader in
+  let r = R.of_string bytes in
+  ignore (R.raw r (String.length "DMTCP_CKPT_V2"));
+  let meta = R.string r in
+  ignore (R.u32 r);
+  let blob = R.string r in
+  Util.Crc32.(finish (update (update init meta 0 (String.length meta)) blob 0 (String.length blob)))
+
+(* (phase, |received|) of the IS state inside a rank image *)
+let is_phase_received (img : Mtcp.Image.t) =
+  let module R = Util.Codec.Reader in
+  match img.Mtcp.Image.threads with
+  | [ ti ] ->
+    let w = Util.Codec.Writer.create () in
+    Simos.Program.encode_instance w ti.Mtcp.Image.ti_inst;
+    let r = R.of_string (Util.Codec.Writer.contents w) in
+    ignore (R.string r);
+    let r = R.of_string (R.string r) in
+    check Alcotest.int "rank image in the kernel loop" 2 (R.u8 r);
+    ignore (Apps.Mpi.decode r);
+    for _ = 1 to 4 do
+      ignore (R.uvarint r)
+    done;
+    let phase = R.uvarint r in
+    ignore (R.raw r (8 * R.uvarint r));
+    (phase, R.uvarint r)
+  | _ -> Alcotest.fail "IS rank image should hold one user thread"
+
+let test_is_pinned_images () =
+  let nprocs = 8 and rpn = 2 and base_port = 5700 in
+  let cl, rt = make ~nodes:((nprocs / rpn) + 1) () in
+  launch_ranks rt ~prog:"nas:is" ~nprocs ~rpn ~base_port ~extra:[ "20000"; "40" ];
+  run_for cl 0.0355;
+  Dmtcp.Api.checkpoint_now rt;
+  let images = (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+  check Alcotest.int "all ranks imaged" nprocs (List.length images);
+  let crcs = Array.make nprocs 0l and collecting = ref 0 in
+  List.iter
+    (fun (node, path) ->
+      match file_content cl node path with
+      | None -> Alcotest.failf "image %s missing on node %d" path node
+      | Some bytes ->
+        let img = Dmtcp.Ckpt_image.mtcp (Dmtcp.Ckpt_image.decode bytes) in
+        let rank = int_of_string (List.nth img.Mtcp.Image.cmdline 1) in
+        (match is_phase_received img with
+        | 2, n when n > 0 -> incr collecting
+        | _ -> ());
+        crcs.(rank) <- image_crc bytes)
+    images;
+  Alcotest.(check bool) "some ranks mid-collection" true (!collecting > 0 && !collecting < nprocs);
+  Array.iteri
+    (fun rank crc -> check Alcotest.int32 (Printf.sprintf "rank %d image CRC-32" rank) crc crcs.(rank))
+    is_pinned_crcs;
+  run_for cl 400.;
+  check Alcotest.(option string) "result line" (Some is_pinned_result)
+    (result cl ~short:"is" ~base_port)
+
 let test_pargeant4_with_checkpoint () =
   ckpt_case ~prog:"apps:pargeant4" ~short:"pargeant4" ~extra:[ "400"; "50" ] ~warmup:0.5 ()
 
@@ -311,6 +384,7 @@ let () =
         [
           Alcotest.test_case "CG + checkpoint" `Quick test_cg_with_checkpoint;
           Alcotest.test_case "IS + checkpoint" `Quick test_is_with_checkpoint;
+          Alcotest.test_case "IS pinned images" `Quick test_is_pinned_images;
           Alcotest.test_case "ParGeant4 + checkpoint" `Quick test_pargeant4_with_checkpoint;
           Alcotest.test_case "CG + restart" `Quick test_cg_with_restart;
         ] );
