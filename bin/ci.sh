@@ -11,7 +11,11 @@ echo "== dune build @check =="
 dune build @check
 
 echo "== dune runtest =="
+# Informational only, no gate: ROADMAP tracks Tier-1 wall time.  Dune
+# caches passing suites, so a run with nothing rebuilt reads near 0 s.
+tier1_start=$(date +%s)
 dune runtest
+echo "tier-1 wall: $(( $(date +%s) - tier1_start )) s"
 
 echo "== trace determinism: fixed scenario, two runs, byte-identical =="
 dune exec bin/dmtcp_sim.exe -- trace --check-determinism

@@ -259,6 +259,60 @@ end
    property plus local sortedness gives global order.  The allocation is
    deliberately oversized and zero-filled (paper §5.4). *)
 
+module Is_keys = struct
+  (* Two passes: count each bucket, then fill it back to front while
+     walking the keys forwards, so every bucket lists its keys in reverse
+     order of appearance. *)
+  let partition ~nbuckets ~owner keys =
+    let fill = Array.make nbuckets 0 in
+    Array.iter
+      (fun key ->
+        let b = owner key in
+        fill.(b) <- fill.(b) + 1)
+      keys;
+    let buckets = Array.map (fun n -> Array.make n 0) fill in
+    Array.iter
+      (fun key ->
+        let b = owner key in
+        let i = fill.(b) - 1 in
+        fill.(b) <- i;
+        buckets.(b).(i) <- key)
+      keys;
+    buckets
+
+  (* Counting sort over the keys' own [min, max] span, the key-ranking
+     method of NAS IS itself. *)
+  let sort a =
+    let n = Array.length a in
+    if n > 1 then begin
+      let lo = ref a.(0) and hi = ref a.(0) in
+      for i = 1 to n - 1 do
+        lo := Int.min !lo a.(i);
+        hi := Int.max !hi a.(i)
+      done;
+      let lo = !lo in
+      let counts = Array.make (!hi - lo + 1) 0 in
+      for i = 0 to n - 1 do
+        let d = a.(i) - lo in
+        counts.(d) <- counts.(d) + 1
+      done;
+      let pos = ref 0 in
+      for d = 0 to Array.length counts - 1 do
+        Array.fill a !pos counts.(d) (d + lo);
+        pos := !pos + counts.(d)
+      done
+    end
+
+  (* each key as an f64: the image format stores IS keys that way *)
+  let encode w a =
+    W.uvarint w (Array.length a);
+    Array.iter (fun key -> W.f64 w (float_of_int key)) a
+
+  let decode r =
+    let n = R.uvarint r in
+    Array.init n (fun _ -> int_of_float (R.f64 r))
+end
+
 module Is = struct
   type kstate = {
     nkeys : int;
@@ -266,9 +320,9 @@ module Is = struct
     rounds : int;  (* sort rounds remaining (long-run mode) *)
     round : int;
     phase : int;  (* 0 generate, 1 exchange, 2 collect, 3 sort+verify, 4 reduce *)
-    keys : float array;     (* generated keys (as floats for codec reuse) *)
-    received : float array; (* keys received for my bucket *)
-    got_from : int;         (* peers heard from *)
+    keys : int array;     (* generated keys *)
+    received : int array; (* keys received for my bucket *)
+    got_from : int;       (* peers heard from *)
     ok : bool;
     coll : Mpi.Coll.st option;
   }
@@ -305,8 +359,8 @@ module Is = struct
     W.uvarint w k.rounds;
     W.uvarint w k.round;
     W.uvarint w k.phase;
-    encode_floats w k.keys;
-    encode_floats w k.received;
+    Is_keys.encode w k.keys;
+    Is_keys.encode w k.received;
     W.uvarint w k.got_from;
     W.bool w k.ok;
     W.option Mpi.Coll.encode w k.coll
@@ -317,44 +371,47 @@ module Is = struct
     let rounds = R.uvarint r in
     let round = R.uvarint r in
     let phase = R.uvarint r in
-    let keys = decode_floats r in
-    let received = decode_floats r in
+    let keys = Is_keys.decode r in
+    let received = Is_keys.decode r in
     let got_from = R.uvarint r in
     let ok = R.bool r in
     let coll = R.option Mpi.Coll.decode r in
     { nkeys; key_range; rounds; round; phase; keys; received; got_from; ok; coll }
 
-  let owner k size key = min (size - 1) (int_of_float key * size / k.key_range)
-
   let pack_keys keys =
     let w = W.create ~capacity:(Array.length keys * 3) () in
     W.uvarint w (Array.length keys);
-    Array.iter (fun v -> W.uvarint w (int_of_float v)) keys;
+    Array.iter (W.uvarint w) keys;
     W.contents w
 
-  let unpack_keys payload =
+  (* [received] extended by the keys packed in [payload] *)
+  let append_packed received payload =
     let r = R.of_string payload in
-    let n = R.uvarint r in
-    Array.init n (fun _ -> float_of_int (R.uvarint r))
+    let n0 = Array.length received in
+    let a = Array.make (n0 + R.uvarint r) 0 in
+    Array.blit received 0 a 0 n0;
+    for i = n0 to Array.length a - 1 do
+      a.(i) <- R.uvarint r
+    done;
+    a
 
   let kstep ctx comm k =
     let size = Mpi.size comm and rank = Mpi.rank comm in
     match k.phase with
     | 0 ->
       let rng = Util.Rng.create (Int64.of_int ((rank * 104729) + 7 + (k.round * 65537))) in
-      let keys = Array.init k.nkeys (fun _ -> float_of_int (Util.Rng.int rng k.key_range)) in
+      let keys = Array.init k.nkeys (fun _ -> Util.Rng.int rng k.key_range) in
       K_compute ({ k with keys; phase = 1 }, float_of_int k.nkeys *. 10. *. flop_cost)
     | 1 ->
       (* mail each peer its bucket (self keys go straight to received) *)
-      let buckets = Array.make size [] in
-      Array.iter (fun key -> buckets.(owner k size key) <- key :: buckets.(owner k size key)) k.keys;
+      let owner key = Int.min (size - 1) (key * size / k.key_range) in
+      let buckets = Is_keys.partition ~nbuckets:size ~owner k.keys in
       for dst = 0 to size - 1 do
-        if dst <> rank then
-          Mpi.send comm ~dst ~tag:'D' (pack_keys (Array.of_list buckets.(dst)))
+        if dst <> rank then Mpi.send comm ~dst ~tag:'D' (pack_keys buckets.(dst))
       done;
       Mpi.progress ctx comm;
       K_compute
-        ( { k with phase = 2; received = Array.of_list buckets.(rank); keys = [||] },
+        ( { k with phase = 2; received = buckets.(rank); keys = [||] },
           float_of_int k.nkeys *. 4. *. flop_cost )
     | 2 ->
       (* collect one message from every peer *)
@@ -364,7 +421,7 @@ module Is = struct
       while !progressed do
         match Mpi.recv_any comm ~tag:'D' with
         | Some (_, payload) ->
-          received := Array.append !received (unpack_keys payload);
+          received := append_packed !received payload;
           incr got
         | None -> progressed := false
       done;
@@ -372,12 +429,17 @@ module Is = struct
         K_compute ({ k with phase = 3; received = !received; got_from = !got }, 1e-5)
       else K_wait { k with received = !received; got_from = !got }
     | 3 ->
-      Array.sort compare k.received;
-      (* verify: locally sorted (by construction) and inside my range *)
-      let lo = float_of_int (rank * k.key_range / size) in
-      let hi = float_of_int ((rank + 1) * k.key_range / size) in
-      let ok = Array.for_all (fun key -> key >= lo && (key < hi || rank = size - 1)) k.received in
-      let n = Array.length k.received in
+      Is_keys.sort k.received;
+      (* verify: locally sorted and inside my range *)
+      let lo = rank * k.key_range / size and hi = (rank + 1) * k.key_range / size in
+      let a = k.received in
+      let n = Array.length a in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let key = a.(i) in
+        if key < lo || (key >= hi && rank <> size - 1) || (i > 0 && a.(i - 1) > key) then ok := false
+      done;
+      let ok = !ok in
       let sort_cost = float_of_int (max 1 n) *. log (float_of_int (max 2 n)) *. 3. *. flop_cost in
       K_compute
         ( {

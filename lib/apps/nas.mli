@@ -56,6 +56,24 @@ end
     completion notification to mpirun. *)
 module Make (_ : KERNEL) : Simos.Program.S
 
+(** {2 IS key arrays} — the bucket-sort kernel's helpers. *)
+module Is_keys : sig
+  (** [partition ~nbuckets ~owner keys] splits [keys] into [nbuckets]
+      exact-size arrays; bucket [b] holds the keys with [owner key = b],
+      in reverse order of appearance (the order consing them onto a list
+      gives).  [owner] must return a bucket in [0, nbuckets). *)
+  val partition : nbuckets:int -> owner:(int -> int) -> int array -> int array array
+
+  (** In-place ascending counting sort; its scratch array spans the
+      keys' [max - min + 1]. *)
+  val sort : int array -> unit
+
+  (** Length, then every key as an [f64]. *)
+  val encode : Util.Codec.Writer.t -> int array -> unit
+
+  val decode : Util.Codec.Reader.t -> int array
+end
+
 (** (program name, per-rank uncompressed memory bytes) for each kernel,
     as used by the harness to set up Figure 4. *)
 val catalog : (string * int) list

@@ -355,6 +355,55 @@ let test_nas_catalog_complete () =
     (List.assoc "nas:is" Apps.Nas.catalog
     = List.fold_left (fun acc (_, mb) -> max acc mb) 0 Apps.Nas.catalog)
 
+(* ------------------------------------------------------------------ *)
+(* IS key helpers against the float-array code they replaced *)
+
+let qtest ?(count = 300) name arb law = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+let key_range = 1 lsl 16
+
+(* key arrays as IS draws them, biased towards the edge cases: empty,
+   singleton, all-equal, and the range ends 0 and key_range - 1 *)
+let keys_arb =
+  let open QCheck.Gen in
+  let key = frequency [ (1, return 0); (1, return (key_range - 1)); (6, int_bound (key_range - 1)) ] in
+  QCheck.make ~print:QCheck.Print.(array int)
+    (frequency
+       [
+         (1, return [||]);
+         (1, map (fun k -> [| k |]) key);
+         (1, map2 Array.make (int_range 2 50) key);
+         (6, array_size (int_range 0 300) key);
+       ])
+
+let owner nbuckets key = min (nbuckets - 1) (key * nbuckets / key_range)
+
+let prop_partition_as_cons_lists =
+  qtest "partition = cons-list bucketing" QCheck.(pair (int_range 1 9) keys_arb) (fun (nbuckets, keys) ->
+      let lists = Array.make nbuckets [] in
+      Array.iter (fun key -> lists.(owner nbuckets key) <- key :: lists.(owner nbuckets key)) keys;
+      Apps.Nas.Is_keys.partition ~nbuckets ~owner:(owner nbuckets) keys = Array.map Array.of_list lists)
+
+let prop_sort_as_array_sort =
+  qtest "counting sort = Array.sort compare" keys_arb (fun keys ->
+      let expect = Array.copy keys in
+      Array.sort compare expect;
+      Apps.Nas.Is_keys.sort keys;
+      keys = expect)
+
+let prop_codec_as_floats =
+  qtest "key codec = float-array codec, and round-trips" keys_arb (fun keys ->
+      let module W = Util.Codec.Writer in
+      let w = W.create () in
+      W.uvarint w (Array.length keys);
+      Array.iter (W.f64 w) (Array.map float_of_int keys);
+      let w' = W.create () in
+      Apps.Nas.Is_keys.encode w' keys;
+      let bytes = W.contents w' in
+      let r = Util.Codec.Reader.of_string bytes in
+      let back = Apps.Nas.Is_keys.decode r in
+      Util.Codec.Reader.expect_end r;
+      bytes = W.contents w && back = keys)
+
 let () =
   Alcotest.run "apps"
     [
@@ -367,6 +416,7 @@ let () =
           Alcotest.test_case "notify codec" `Quick test_notify_codec;
           Alcotest.test_case "nas catalog" `Quick test_nas_catalog_complete;
         ] );
+      ("is keys", [ prop_partition_as_cons_lists; prop_sort_as_array_sort; prop_codec_as_floats ]);
       ( "kernels",
         [
           Alcotest.test_case "baseline verifies" `Quick test_baseline;
