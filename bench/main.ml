@@ -21,8 +21,8 @@ let scale =
 let reps = match scale with `Full -> 5 | `Quick -> 2
 
 (* BENCH_SECTIONS=micro|repro|all picks which layer runs (default all);
-   CI's bench smoke runs just the micro layer, which finishes in
-   seconds. *)
+   CI's bench smoke runs just the micro layer at quick scale, which
+   takes minutes, not seconds: 150-190 s on a 2-vCPU VM. *)
 let sections =
   match Sys.getenv_opt "BENCH_SECTIONS" with
   | Some "micro" -> `Micro
@@ -312,9 +312,9 @@ let sched_records () =
   let reference = Chaos.Sched_demo.run ~faults:false () in
   let faulted = Chaos.Sched_demo.run ~faults:true () in
   let ms s = int_of_float (Float.round (s *. 1000.)) in
-  let mk_ref = Sched.Scheduler.makespan reference.Chaos.Sched_demo.d_sched in
-  let mk_f = Sched.Scheduler.makespan faulted.Chaos.Sched_demo.d_sched in
-  let lost = Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo.d_sched in
+  let mk_ref = Sched.Scheduler.makespan reference.Chaos.Sched_demo1k.k_sched in
+  let mk_f = Sched.Scheduler.makespan faulted.Chaos.Sched_demo1k.k_sched in
+  let lost = Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo1k.k_sched in
   [
     ("sched.makespan-faulted-vs-nofault", ms mk_ref, ms mk_f);
     ("sched.lost-work-vs-makespan", ms mk_f, ms lost);

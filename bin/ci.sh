@@ -7,6 +7,21 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# run_twice NAME WHAT ARGS...: run `dmtcp_sim ARGS` twice into
+# _artifacts/NAME_1.txt and NAME_2.txt, fail naming WHAT unless the two
+# outputs are byte-identical, then print the first.
+run_twice() {
+  name=$1 what=$2
+  shift 2
+  dune exec bin/dmtcp_sim.exe -- "$@" > "_artifacts/${name}_1.txt"
+  dune exec bin/dmtcp_sim.exe -- "$@" > "_artifacts/${name}_2.txt"
+  if ! diff -u "_artifacts/${name}_1.txt" "_artifacts/${name}_2.txt"; then
+    echo "FAIL: $what is non-deterministic across two runs." >&2
+    exit 1
+  fi
+  cat "_artifacts/${name}_1.txt"
+}
+
 echo "== dune build @check =="
 dune build @check
 
@@ -85,26 +100,14 @@ echo "== sched smoke: canned preempt/fail/drain scenario, deterministic trace di
 # and one drain, and must (a) finish every job bit-identical to its
 # no-fault reference and (b) produce a byte-identical trace across two
 # invocations.
-dune exec bin/dmtcp_sim.exe -- sched run > _artifacts/sched_run_1.txt
-dune exec bin/dmtcp_sim.exe -- sched run > _artifacts/sched_run_2.txt
-if ! diff -u _artifacts/sched_run_1.txt _artifacts/sched_run_2.txt; then
-  echo "FAIL: sched scenario is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/sched_run_1.txt
+run_twice sched_run "sched scenario" sched run
 
 echo "== sched scale smoke: 1000-job demo under chaos, deterministic =="
 # 1000 single-node jobs through preemption + node loss + drain on the
 # per-job op queues: every job must finish bit-identical to the
 # no-fault reference, at least 8 ops must overlap in flight, and two
 # invocations must print byte-identical summaries.
-dune exec bin/dmtcp_sim.exe -- sched demo1k > _artifacts/sched_demo1k_1.txt
-dune exec bin/dmtcp_sim.exe -- sched demo1k > _artifacts/sched_demo1k_2.txt
-if ! diff -u _artifacts/sched_demo1k_1.txt _artifacts/sched_demo1k_2.txt; then
-  echo "FAIL: 1000-job demo is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/sched_demo1k_1.txt
+run_twice sched_demo1k "1000-job demo" sched demo1k
 
 echo "== mpi proxy smoke: stencil ckpt/restart cycle on the proxy backend, deterministic =="
 # The rank/proxy split: checkpoint the stencil mid-run on the proxy
@@ -112,13 +115,7 @@ echo "== mpi proxy smoke: stencil ckpt/restart cycle on the proxy backend, deter
 # must print byte-identical result/image-shape/trace-digest lines, and
 # the rank images must carry no live socket state and nothing drained —
 # that is the point of the split.
-dune exec bin/dmtcp_sim.exe -- mpi run proxy > _artifacts/mpi_proxy_1.txt
-dune exec bin/dmtcp_sim.exe -- mpi run proxy > _artifacts/mpi_proxy_2.txt
-if ! diff -u _artifacts/mpi_proxy_1.txt _artifacts/mpi_proxy_2.txt; then
-  echo "FAIL: proxy-backend mpi cycle is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/mpi_proxy_1.txt
+run_twice mpi_proxy "proxy-backend mpi cycle" mpi run proxy
 grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_proxy_1.txt \
   || { echo "FAIL: proxy-backend rank images carry socket state." >&2; exit 1; }
 

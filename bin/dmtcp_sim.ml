@@ -321,11 +321,11 @@ let sched_run action no_faults =
       (List.length (Trace.events coll))
       (List.length
          (List.filter (fun (e : Trace.event) -> e.Trace.cat = "sched") (Trace.events coll)));
-    if no_faults then exit (if faulted.Chaos.Sched_demo.d_unfinished = 0 then 0 else 1)
+    if no_faults then exit (if faulted.Chaos.Sched_demo1k.k_unfinished = 0 then 0 else 1)
     else begin
       (* judge the faulted run against its own no-fault reference *)
       let reference = Chaos.Sched_demo.run ~faults:false () in
-      match Chaos.Sched_demo.check ~reference faulted with
+      match Chaos.Sched_demo1k.check ~reference faulted with
       | [] ->
         print_endline "all jobs finished bit-identically to the no-fault reference";
         exit 0
@@ -335,8 +335,8 @@ let sched_run action no_faults =
     end
   | "status" ->
     let r = Chaos.Sched_demo.run ~faults:(not no_faults) () in
-    List.iter print_endline (Sched.Scheduler.status_lines r.Chaos.Sched_demo.d_sched);
-    exit (if r.Chaos.Sched_demo.d_unfinished = 0 then 0 else 1)
+    List.iter print_endline (Sched.Scheduler.status_lines r.Chaos.Sched_demo1k.k_sched);
+    exit (if r.Chaos.Sched_demo1k.k_unfinished = 0 then 0 else 1)
   | "demo1k" ->
     (* the 1000-small-job scale scenario: preemption + self-healing +
        drain, judged bit-identical against its own no-fault reference;

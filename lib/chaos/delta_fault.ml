@@ -26,27 +26,10 @@
 
 module Common = Harness.Common
 
-let sprintf = Printf.sprintf
-
-(* one process, 8 MB resident, deterministic output; enough iterations
-   (2 ms each) that the workload is still running after several spaced
-   checkpoint rounds *)
-let prog = "p:memhog"
+(* enough iterations (2 ms each) that the workload is still running
+   after several spaced checkpoint rounds *)
 let iters = 3000
-let expected = sprintf "hog:%d" iters
-let home = 1 (* node the workload runs (and restarts) on; coord is node 0 *)
-
-let output env ~out_path =
-  match
-    Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl home)) out_path
-  with
-  | Some f -> Some (Simos.Vfs.read_all f)
-  | None -> None
-
-let run_until env ~deadline pred =
-  while (not (pred ())) && Simos.Cluster.now env.Common.cl < deadline do
-    Common.run_for env 0.1
-  done
+let expected = Printf.sprintf "hog:%d" iters
 
 (* ------------------------------------------------------------------ *)
 (* deep_chain *)
@@ -55,15 +38,10 @@ let run_until env ~deadline pred =
    incremental mode), kill, restart, run to completion; returns the
    output and the restart script for shape assertions *)
 let run_variant ~incremental ~out_path =
-  Progs.ensure_registered ();
   let options =
     { Dmtcp.Options.default with Dmtcp.Options.incremental; delta_chain = 8 }
   in
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog
-       ~argv:[ "8"; string_of_int iters; out_path ]);
-  Common.run_for env 0.5;
+  let env = Case.memhog ~options ~iters ~out_path in
   Dmtcp.Api.checkpoint_now env.Common.rt;
   for _ = 1 to 3 do
     Common.run_for env 0.2;
@@ -73,13 +51,11 @@ let run_variant ~incremental ~out_path =
   Dmtcp.Api.kill_computation env.Common.rt;
   Dmtcp.Api.restart env.Common.rt script;
   Dmtcp.Api.await_restart env.Common.rt;
-  let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-  run_until env ~deadline (fun () -> output env ~out_path <> None);
-  (output env ~out_path, script)
+  Case.run_until env ~within:30. (fun () -> Case.output env out_path <> None);
+  (Case.output env out_path, script)
 
 let deep_chain () =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let v = Case.verdict () in
   let delta_out, delta_script = run_variant ~incremental:true ~out_path:"/data/df_delta" in
   let full_out, _ = run_variant ~incremental:false ~out_path:"/data/df_full" in
   let chain_depth_ok =
@@ -89,163 +65,93 @@ let deep_chain () =
       delta_script.Dmtcp.Restart_script.entries
   in
   if not chain_depth_ok then
-    fail "incremental run did not leave a depth-3 chain (no .d3 image in the script)";
-  (match (delta_out, full_out) with
-  | Some d, Some f when d = f && d = expected -> ()
-  | Some d, Some f when d <> f ->
-    fail "delta-chain restart diverged from full-image restart: %S vs %S" d f
-  | Some d, Some _ -> fail "both variants agree on a wrong answer: %S (want %S)" d expected
-  | None, _ -> fail "delta-chain restart never finished (no output)"
-  | _, None -> fail "full-image restart never finished (no output)");
-  !violations
+    Case.fail v "incremental run did not leave a depth-3 chain (no .d3 image in the script)";
+  (* both variants must finish with the unfaulted output, hence agree *)
+  Case.expect v ~what:"delta-chain restart" ~want:expected delta_out;
+  Case.expect v ~what:"full-image restart" ~want:expected full_out;
+  Case.violations v
 
 (* ------------------------------------------------------------------ *)
-(* forked_crash *)
+(* forked_crash, base_loss *)
 
-let store_of env =
-  match Dmtcp.Runtime.store env.Common.rt with
-  | Some s -> s
-  | None -> failwith "delta_fault: runtime installed without the store"
+let store_options ~forked ~replicas =
+  {
+    Dmtcp.Options.default with
+    Dmtcp.Options.incremental = true;
+    forked;
+    delta_chain = 8;
+    store = true;
+    store_replicas = replicas;
+    keep_generations = 3;
+  }
 
 let forked_crash () =
-  Progs.ensure_registered ();
   let out_path = "/data/df_forked" in
-  let options =
-    {
-      Dmtcp.Options.default with
-      Dmtcp.Options.incremental = true;
-      forked = true;
-      delta_chain = 8;
-      store = true;
-      store_replicas = 2;
-      keep_generations = 3;
-    }
-  in
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog
-       ~argv:[ "8"; string_of_int iters; out_path ]);
-  Common.run_for env 0.5;
+  let env = Case.memhog ~options:(store_options ~forked:true ~replicas:2) ~iters ~out_path in
+  let v = Case.verdict () in
   (* full checkpoint; wait for the forked background write to land so
      the next round's delta has a durable base *)
   Dmtcp.Api.checkpoint_now env.Common.rt;
-  let store = store_of env in
-  let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-  run_until env ~deadline (fun () -> Store.manifests store <> []);
-  if Store.manifests store = [] then fail "full checkpoint never landed in the store";
+  let store = Case.store_of env in
+  Case.run_until env ~within:30. (fun () -> Store.manifests store <> []);
+  if Store.manifests store = [] then Case.fail v "full checkpoint never landed in the store";
   Common.run_for env 0.3;
   (* delta checkpoint: blackout ends at the snapshot, the compression
      and store write run in the background child *)
   Dmtcp.Api.checkpoint_now env.Common.rt;
   let script = Dmtcp.Api.restart_script env.Common.rt in
   (* the node dies with that write still in flight *)
-  Simos.Cluster.crash_node env.Common.cl home;
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.restart env.Common.rt script;
-  let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-  run_until env ~deadline (fun () -> output env ~out_path <> None);
-  Trace.detach sink;
-  let events = Trace.events col in
-  let saw name = List.exists (fun (e : Trace.event) -> e.Trace.name = name) events in
-  (match output env ~out_path with
+  Simos.Cluster.crash_node env.Common.cl Case.home;
+  let (), events =
+    Case.traced (fun () ->
+        Dmtcp.Api.restart env.Common.rt script;
+        Case.run_until env ~within:30. (fun () -> Case.output env out_path <> None))
+  in
+  (match Case.output env out_path with
   | Some got when got = expected ->
     (* recovered: either the delta landed and resolved, or the restart
        degraded to the durable full generation — the trace must show
        which, and one of the two must have happened *)
-    if not (saw "rst/delta-resolve" || saw "rst/delta-fallback") then
-      fail "restart recovered but the trace shows neither a delta resolve nor a fallback"
-  | Some got -> fail "restart after mid-forked crash diverged: expected %S, got %S" expected got
+    if not (Case.saw events "rst/delta-resolve" || Case.saw events "rst/delta-fallback") then
+      Case.fail v "restart recovered but the trace shows neither a delta resolve nor a fallback"
+  | Some _ as got -> Case.expect v ~what:"restart after mid-forked crash" ~want:expected got
   | None ->
     (* no recovery: only a clean exit 73 naming the loss is acceptable *)
-    let exit_codes =
-      List.filter_map
-        (fun (e : Trace.event) ->
-          if e.Trace.name = "proc/exit" then List.assoc_opt "code" e.Trace.args else None)
-        events
-    in
-    if not (List.mem "73" exit_codes) then
-      fail "no output and no clean exit 73 after mid-forked crash (saw exits: %s)"
-        (String.concat "," exit_codes);
-    if not (saw "rst/missing-blocks") then
-      fail "failed restart did not name the lost blocks";
-    if Dmtcp.Runtime.hijacked_processes env.Common.rt <> [] then
-      fail "processes half-restored after a failed (exit 73) restart");
-  !violations
-
-(* ------------------------------------------------------------------ *)
-(* base_loss *)
+    Case.clean_failure v ~what:"restart after mid-forked crash" env events ~output:None);
+  Case.violations v
 
 let base_loss () =
-  Progs.ensure_registered ();
   let out_path = "/data/df_base" in
-  let options =
-    {
-      Dmtcp.Options.default with
-      Dmtcp.Options.incremental = true;
-      delta_chain = 8;
-      store = true;
-      store_replicas = 1;
-      keep_generations = 3;
-    }
-  in
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog
-       ~argv:[ "8"; string_of_int iters; out_path ]);
-  Common.run_for env 0.5;
+  let env = Case.memhog ~options:(store_options ~forked:false ~replicas:1) ~iters ~out_path in
+  let v = Case.verdict () in
   Dmtcp.Api.checkpoint_now env.Common.rt;
   Common.run_for env 0.3;
   Dmtcp.Api.checkpoint_now env.Common.rt;
   let script = Dmtcp.Api.restart_script env.Common.rt in
   Dmtcp.Api.kill_computation env.Common.rt;
-  let store = store_of env in
+  let store = Case.store_of env in
   (* sanity: the catalog must hold a delta manifest chained to a full
      base — otherwise this scenario is not testing what it claims *)
   (match
      List.find_opt (fun (m : Store.manifest) -> m.Store.m_base <> None) (Store.manifests store)
    with
-  | None -> fail "no delta manifest in the catalog after two incremental checkpoints"
+  | None -> Case.fail v "no delta manifest in the catalog after two incremental checkpoints"
   | Some m -> (
     let base = Option.get m.Store.m_base in
     match Store.find store ~name:base with
-    | None -> fail "delta's base %s is not catalogued" base
-    | Some b when b.Store.m_base <> None -> fail "expected a full base, got a delta"
+    | None -> Case.fail v "delta's base %s is not catalogued" base
+    | Some b when b.Store.m_base <> None -> Case.fail v "expected a full base, got a delta"
     | Some _ -> ()));
   (* the single replica of every block — base generation included — is
      on the writing node; lose it *)
-  Store.drop_node store home;
+  Store.drop_node store Case.home;
   if Dmtcp.Api.script_images_available env.Common.rt script then
-    fail "images reported available with the delta's base generation gone";
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.restart env.Common.rt script;
-  Common.run_for env 5.0;
-  Trace.detach sink;
-  let events = Trace.events col in
-  let exit_codes =
-    List.filter_map
-      (fun (e : Trace.event) ->
-        if e.Trace.name = "proc/exit" then List.assoc_opt "code" e.Trace.args else None)
-      events
+    Case.fail v "images reported available with the delta's base generation gone";
+  let (), events =
+    Case.traced (fun () ->
+        Dmtcp.Api.restart env.Common.rt script;
+        Common.run_for env 5.0)
   in
-  if not (List.mem "73" exit_codes) then
-    fail "restarter did not exit 73 with the delta chain unresolvable (saw exits: %s)"
-      (String.concat "," exit_codes);
-  (match
-     List.find_opt (fun (e : Trace.event) -> e.Trace.name = "rst/missing-blocks") events
-   with
-  | None -> fail "no missing-blocks report from the restarter"
-  | Some e ->
-    if Option.value ~default:"" (List.assoc_opt "blocks" e.Trace.args) = "" then
-      fail "missing-blocks report does not name the lost blocks");
-  if Dmtcp.Runtime.hijacked_processes env.Common.rt <> [] then
-    fail "processes half-restored after a failed (exit 73) restart";
-  if output env ~out_path <> None then fail "output produced despite an unresolvable chain";
-  !violations
+  Case.clean_failure v ~what:"unresolvable delta chain" env events
+    ~output:(Case.output env out_path);
+  Case.violations v

@@ -33,35 +33,20 @@
 module Common = Harness.Common
 
 let sprintf = Printf.sprintf
-let home = 1 (* workload node; coordinator runs on node 0 *)
+let home = Case.home
 
-let output env ~node ~out_path =
-  match
-    Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl node)) out_path
-  with
-  | Some f -> Some (Simos.Vfs.read_all f)
-  | None -> None
+(* How a cycle ends after its first checkpoint.  [Live]: the run just
+   continues.  [Kill]: an orderly kill, then a restart from the images.
+   [Stage_kill s]: a second round is started and the whole computation
+   is killed the moment any manager reaches stage [s] — between that
+   stage's pre hooks and the next stage's — then restarted from the
+   first round's images. *)
+type ending = Live | Kill | Stage_kill of Dmtcp.Faults.stage
 
-let run_until env ~deadline pred =
-  while (not (pred ())) && Simos.Cluster.now env.Common.cl < deadline do
-    Common.run_for env 0.1
-  done
-
-let saw events name = List.exists (fun (e : Trace.event) -> e.Trace.name = name) events
-
-let find_args events name =
-  List.filter_map
-    (fun (e : Trace.event) -> if e.Trace.name = name then Some e.Trace.args else None)
-    events
-
-(* enable exactly [plugins] (built-ins are always registered) *)
-let options_with plugins = { Dmtcp.Options.default with Dmtcp.Options.plugins }
-
-(* Kill the whole computation the moment any manager reaches [stage] —
-   i.e. between that stage's pre hooks and the next stage's.  The kill
-   is scheduled at the current virtual time so the notifying step
-   retires cleanly (same pattern as the torture runner). *)
-let arm_stage_kill env stage =
+(* start a second round and kill it at [stage].  The kill is scheduled
+   at the current virtual time so the notifying step retires cleanly
+   (same pattern as the torture runner). *)
+let stage_kill env stage =
   let fired = ref false in
   Dmtcp.Faults.on_stage :=
     (fun ~node:_ ~pid:_ s ->
@@ -73,232 +58,189 @@ let arm_stage_kill env stage =
              ~delay:0.
              (fun () -> Dmtcp.Api.kill_computation env.Common.rt))
       end);
-  fired
+  Fun.protect
+    ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer)
+    (fun () ->
+      Dmtcp.Api.checkpoint env.Common.rt;
+      Case.run_until env ~within:30. (fun () ->
+          !fired && Dmtcp.Runtime.hijacked_processes env.Common.rt = []))
 
-let disarm_stage_kill () = Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer
+(* A heuristic's workload: its plugin, how to launch it writing its
+   verdict line to a given path, how long it runs before the checkpoint,
+   and that path. *)
+type heuristic = {
+  plugin : string;
+  launch : Common.env -> string -> unit;
+  warmup : float;
+  out_path : string;
+}
+
+(* One full cycle with exactly ext-sock, plus [h.plugin] when [on]
+   (built-ins are always registered): launch, warm up, checkpoint, end
+   as [ending], run out.  Returns the verdict line, the trace events
+   from the checkpoint on, and the restart's duration. *)
+let cycle h ~on ~ending =
+  Progs.ensure_registered ();
+  Heuristic_progs.ensure_registered ();
+  let plugins = if on then [ "ext-sock"; h.plugin ] else [ "ext-sock" ] in
+  let options = { Dmtcp.Options.default with Dmtcp.Options.plugins } in
+  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
+  let rt = env.Common.rt in
+  h.launch env h.out_path;
+  Common.run_for env h.warmup;
+  let restart_secs, events =
+    Case.traced (fun () ->
+        Dmtcp.Api.checkpoint_now rt;
+        let script = Dmtcp.Api.restart_script rt in
+        let restart () =
+          Dmtcp.Api.restart rt script;
+          Dmtcp.Api.await_restart rt
+        in
+        (match ending with
+        | Live -> ()
+        | Kill ->
+          Dmtcp.Api.kill_computation rt;
+          restart ()
+        | Stage_kill stage ->
+          stage_kill env stage;
+          restart ());
+        let secs = Dmtcp.Api.last_restart_seconds rt in
+        Case.run_until env ~within:60. (fun () -> Case.output env h.out_path <> None);
+        secs)
+  in
+  (Case.output env h.out_path, events, restart_secs)
 
 (* ------------------------------------------------------------------ *)
 (* blacklist_skip *)
 
 let dns_count = 1200
-let dns_out = "/data/pf_dns"
 
-(* one full cycle; returns (verdict, ckpt+restart trace events,
-   restart seconds).  [stage_kill]: instead of an orderly kill after the
-   checkpoint, start a second round and kill everything when the first
-   manager reaches its drain stage. *)
-let dns_variant ~plugins ~stage_kill () =
-  Progs.ensure_registered ();
-  Heuristic_progs.ensure_registered ();
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:(options_with plugins) () in
-  ignore (Dmtcp.Api.launch env.Common.rt ~node:2 ~prog:"p:dnssrv" ~argv:[ "53" ]);
-  Common.run_for env 0.3;
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:dnscli"
-       ~argv:[ "2"; "53"; string_of_int dns_count; dns_out ]);
-  Common.run_for env 0.6;
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.checkpoint_now env.Common.rt;
-  let script = Dmtcp.Api.restart_script env.Common.rt in
-  if stage_kill then begin
-    (* second round, killed between its capture and write hooks *)
-    let fired = arm_stage_kill env Dmtcp.Faults.Drain in
-    Dmtcp.Api.checkpoint env.Common.rt;
-    let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-    run_until env ~deadline (fun () ->
-        !fired && Dmtcp.Runtime.hijacked_processes env.Common.rt = []);
-    disarm_stage_kill ()
-  end
-  else Dmtcp.Api.kill_computation env.Common.rt;
-  Dmtcp.Api.restart env.Common.rt script;
-  Dmtcp.Api.await_restart env.Common.rt;
-  let restart_secs = Dmtcp.Api.last_restart_seconds env.Common.rt in
-  let deadline = Simos.Cluster.now env.Common.cl +. 60. in
-  run_until env ~deadline (fun () -> output env ~node:home ~out_path:dns_out <> None);
-  Trace.detach sink;
-  (output env ~node:home ~out_path:dns_out, Trace.events col, restart_secs)
+let dns =
+  {
+    plugin = "blacklist-ports";
+    warmup = 0.6;
+    out_path = "/data/pf_dns";
+    launch =
+      (fun env out ->
+        ignore (Dmtcp.Api.launch env.Common.rt ~node:2 ~prog:"p:dnssrv" ~argv:[ "53" ]);
+        Common.run_for env 0.3;
+        ignore
+          (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:dnscli"
+             ~argv:[ "2"; "53"; string_of_int dns_count; out ]));
+  }
 
 let blacklist_skip () =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  let on_plugins = [ "ext-sock"; "blacklist-ports" ] in
-  let verdict_on, events, restart_secs = dns_variant ~plugins:on_plugins ~stage_kill:true () in
-  (match verdict_on with
-  | Some v when v = sprintf "dns:%d degraded" dns_count -> ()
-  | Some v -> fail "blacklisted restart: expected clean degradation, got %S" v
-  | None -> fail "blacklisted restart never produced a verdict");
-  if not (saw events "plugin/blacklist-ports/drain-select") then
-    fail "no blacklist-ports span at drain-select";
-  if not (saw events "plugin/blacklist-ports/fd-capture") then
-    fail "no blacklist-ports span at fd-capture";
+  let v = Case.verdict () in
+  (* second round killed at its drain stage: after its capture hooks,
+     before its write hooks *)
+  let verdict_on, events, restart_secs =
+    cycle dns ~on:true ~ending:(Stage_kill Dmtcp.Faults.Drain)
+  in
+  Case.expect v ~what:"blacklisted restart (clean degradation)"
+    ~want:(sprintf "dns:%d degraded" dns_count) verdict_on;
+  if not (Case.saw events "plugin/blacklist-ports/drain-select") then
+    Case.fail v "no blacklist-ports span at drain-select";
+  if not (Case.saw events "plugin/blacklist-ports/fd-capture") then
+    Case.fail v "no blacklist-ports span at fd-capture";
   (* the demoted connection must leave no discovery spec behind: restart
      proceeds without the 5 s external-peer deadline *)
-  (match find_args events "rst/sockets-done" with
+  (match Case.args_of events "rst/sockets-done" with
   | args :: _ ->
     if List.assoc_opt "external" args <> Some "0" then
-      fail "blacklisted connection still went through external discovery";
+      Case.fail v "blacklisted connection still went through external discovery";
     if List.assoc_opt "timed_out" args <> Some "false" then
-      fail "restart waited out the discovery deadline for a blacklisted connection"
-  | [] -> fail "no sockets-done record in the restart trace");
+      Case.fail v "restart waited out the discovery deadline for a blacklisted connection"
+  | [] -> Case.fail v "no sockets-done record in the restart trace");
   if restart_secs >= 4.0 then
-    fail "restart stalled %.1f s — the blacklist skip should avoid the discovery wait"
+    Case.fail v "restart stalled %.1f s — the blacklist skip should avoid the discovery wait"
       restart_secs;
   (* plugin off: the same connection is drained/refilled like any
      internal one and the run finishes live, identical to a run that was
      never checkpointed *)
-  let verdict_off, _, _ = dns_variant ~plugins:[ "ext-sock" ] ~stage_kill:false () in
-  (match verdict_off with
-  | Some v when v = sprintf "dns:%d live" dns_count -> ()
-  | Some v -> fail "with the plugin off the restart should be bit-identical (live): got %S" v
-  | None -> fail "plugin-off restart never produced a verdict");
-  !violations
+  let verdict_off, _, _ = cycle dns ~on:false ~ending:Kill in
+  Case.expect v ~what:"plugin-off restart (bit-identical, live)"
+    ~want:(sprintf "dns:%d live" dns_count) verdict_off;
+  Case.violations v
 
 (* ------------------------------------------------------------------ *)
 (* proc_repoint *)
 
 let proc_iters = 2500
-let proc_out = "/data/pf_proc"
 
-let proc_variant ~plugins ~stage_kill () =
-  Progs.ensure_registered ();
-  Heuristic_progs.ensure_registered ();
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:(options_with plugins) () in
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:procfd"
-       ~argv:[ string_of_int proc_iters; proc_out ]);
-  Common.run_for env 0.8;
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.checkpoint_now env.Common.rt;
-  let script = Dmtcp.Api.restart_script env.Common.rt in
-  if stage_kill then begin
-    (* die between the write hooks and the resume hooks of a second
-       round: the fds were already re-captured when the kill lands *)
-    let fired = arm_stage_kill env Dmtcp.Faults.Refill in
-    Dmtcp.Api.checkpoint env.Common.rt;
-    let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-    run_until env ~deadline (fun () ->
-        !fired && Dmtcp.Runtime.hijacked_processes env.Common.rt = []);
-    disarm_stage_kill ()
-  end
-  else Dmtcp.Api.kill_computation env.Common.rt;
-  Dmtcp.Api.restart env.Common.rt script;
-  Dmtcp.Api.await_restart env.Common.rt;
-  let deadline = Simos.Cluster.now env.Common.cl +. 60. in
-  run_until env ~deadline (fun () -> output env ~node:home ~out_path:proc_out <> None);
-  Trace.detach sink;
-  (output env ~node:home ~out_path:proc_out, Trace.events col)
+let procfd =
+  {
+    plugin = "proc-fd";
+    warmup = 0.8;
+    out_path = "/data/pf_proc";
+    launch =
+      (fun env out ->
+        ignore
+          (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:procfd"
+             ~argv:[ string_of_int proc_iters; out ]));
+  }
 
 let proc_repoint () =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  let expected = sprintf "PROC OK %d" proc_iters in
-  let verdict_on, events = proc_variant ~plugins:[ "ext-sock"; "proc-fd" ] ~stage_kill:true () in
-  (match verdict_on with
-  | Some v when v = expected -> ()
-  | Some v ->
-    fail "restart with proc-fd should be bit-identical to the unfaulted run (%S): got %S"
-      expected v
-  | None -> fail "proc-fd restart never produced a verdict");
-  if not (saw events "plugin/proc-fd/restart-rearrange") then
-    fail "no proc-fd span at restart-rearrange";
+  let v = Case.verdict () in
+  (* second round killed between its write hooks and its resume hooks:
+     the fds were already re-captured when the kill lands *)
+  let verdict_on, events, _ = cycle procfd ~on:true ~ending:(Stage_kill Dmtcp.Faults.Refill) in
+  Case.expect v ~what:"proc-fd restart (bit-identical to the unfaulted run)"
+    ~want:(sprintf "PROC OK %d" proc_iters) verdict_on;
+  if not (Case.saw events "plugin/proc-fd/restart-rearrange") then
+    Case.fail v "no proc-fd span at restart-rearrange";
   (* plugin off: the held fd keeps naming the dead pid's file *)
-  let verdict_off, _ = proc_variant ~plugins:[ "ext-sock" ] ~stage_kill:false () in
-  (match verdict_off with
-  | Some v when v = sprintf "PROC STALE %d" proc_iters -> ()
-  | Some v -> fail "with proc-fd off the held fd should read stale: got %S" v
-  | None -> fail "plugin-off proc restart never produced a verdict");
-  !violations
+  let verdict_off, _, _ = cycle procfd ~on:false ~ending:Kill in
+  Case.expect v ~what:"plugin-off proc restart (stale fd)"
+    ~want:(sprintf "PROC STALE %d" proc_iters) verdict_off;
+  Case.violations v
 
 (* ------------------------------------------------------------------ *)
 (* shm_zero *)
 
 let shm_lookups = 2500
-let shm_out = "/data/pf_shm"
 
-(* [kill]: restart path.  Without it the run continues past the
-   checkpoint — proving the image-side zeroing never touched the live
-   segment through the page alias. *)
-let shm_variant ~plugins ~kill ~stage_kill () =
-  Progs.ensure_registered ();
-  Heuristic_progs.ensure_registered ();
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:(options_with plugins) () in
-  ignore
-    (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:nscdapp"
-       ~argv:[ string_of_int shm_lookups; shm_out ]);
-  Common.run_for env 0.8;
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.checkpoint_now env.Common.rt;
-  let script = Dmtcp.Api.restart_script env.Common.rt in
-  if kill then begin
-    if stage_kill then begin
-      (* second round, killed right after its image-write hook ran *)
-      let fired = arm_stage_kill env Dmtcp.Faults.Refill in
-      Dmtcp.Api.checkpoint env.Common.rt;
-      let deadline = Simos.Cluster.now env.Common.cl +. 30. in
-      run_until env ~deadline (fun () ->
-          !fired && Dmtcp.Runtime.hijacked_processes env.Common.rt = []);
-      disarm_stage_kill ()
-    end
-    else Dmtcp.Api.kill_computation env.Common.rt;
-    Dmtcp.Api.restart env.Common.rt script;
-    Dmtcp.Api.await_restart env.Common.rt
-  end;
-  let deadline = Simos.Cluster.now env.Common.cl +. 60. in
-  run_until env ~deadline (fun () -> output env ~node:home ~out_path:shm_out <> None);
-  Trace.detach sink;
-  (output env ~node:home ~out_path:shm_out, Trace.events col)
+let extshm =
+  {
+    plugin = "ext-shm";
+    warmup = 0.8;
+    out_path = "/data/pf_shm";
+    launch =
+      (fun env out ->
+        ignore
+          (Dmtcp.Api.launch env.Common.rt ~node:home ~prog:"p:nscdapp"
+             ~argv:[ string_of_int shm_lookups; out ]));
+  }
 
 let shm_zero () =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  let on = [ "ext-sock"; "ext-shm" ] in
-  (* restarted run: zeroed segment, clean degradation *)
-  let verdict_on, events = shm_variant ~plugins:on ~kill:true ~stage_kill:true () in
-  (match verdict_on with
-  | Some v when v = sprintf "nscd:%d degraded" shm_lookups -> ()
-  | Some v -> fail "restart with a zeroed segment should degrade cleanly: got %S" v
-  | None -> fail "ext-shm restart never produced a verdict");
-  if not (saw events "plugin/ext-shm/image-write") then fail "no ext-shm span at image-write";
+  let v = Case.verdict () in
+  (* restarted run, second round killed right after its image-write
+     hook ran: zeroed segment, clean degradation *)
+  let verdict_on, events, _ = cycle extshm ~on:true ~ending:(Stage_kill Dmtcp.Faults.Refill) in
+  Case.expect v ~what:"ext-shm restart (zeroed segment degrades cleanly)"
+    ~want:(sprintf "nscd:%d degraded" shm_lookups) verdict_on;
+  if not (Case.saw events "plugin/ext-shm/image-write") then
+    Case.fail v "no ext-shm span at image-write";
   (* same plugin, no kill: the checkpointed-but-running app must stay
      warm — zeroing leaked through the page alias otherwise *)
-  let verdict_live, _ = shm_variant ~plugins:on ~kill:false ~stage_kill:false () in
-  (match verdict_live with
-  | Some v when v = sprintf "nscd:%d cached" shm_lookups -> ()
-  | Some v -> fail "live run after an ext-shm checkpoint lost its cache (alias leak?): %S" v
-  | None -> fail "live ext-shm run never produced a verdict");
+  let verdict_live, _, _ = cycle extshm ~on:true ~ending:Live in
+  Case.expect v ~what:"live run after an ext-shm checkpoint (cache lost: alias leak?)"
+    ~want:(sprintf "nscd:%d cached" shm_lookups) verdict_live;
   (* plugin off: the segment is captured verbatim and the cache survives *)
-  let verdict_off, _ = shm_variant ~plugins:[ "ext-sock" ] ~kill:true ~stage_kill:false () in
-  (match verdict_off with
-  | Some v when v = sprintf "nscd:%d cached" shm_lookups -> ()
-  | Some v -> fail "with ext-shm off the cache should survive the restart: got %S" v
-  | None -> fail "plugin-off shm restart never produced a verdict");
-  !violations
+  let verdict_off, _, _ = cycle extshm ~on:false ~ending:Kill in
+  Case.expect v ~what:"plugin-off shm restart (cache survives)"
+    ~want:(sprintf "nscd:%d cached" shm_lookups) verdict_off;
+  Case.violations v
 
 (* ------------------------------------------------------------------ *)
 (* CLI surface: `dmtcp_sim plugins run` prints one verdict line per
    heuristic per plugin setting, which ci.sh diffs across on/off. *)
 
-let heuristic_names = [ "blacklist"; "procfd"; "extshm" ]
+let heuristics = [ ("blacklist", dns); ("procfd", procfd); ("extshm", extshm) ]
+let heuristic_names = List.map fst heuristics
 
 let run_heuristic ~name ~plugins_on =
-  let verdict = function Some v -> v | None -> "<no verdict>" in
-  match name with
-  | "blacklist" ->
-    let plugins = if plugins_on then [ "ext-sock"; "blacklist-ports" ] else [ "ext-sock" ] in
-    let v, _, _ = dns_variant ~plugins ~stage_kill:false () in
-    verdict v
-  | "procfd" ->
-    let plugins = if plugins_on then [ "ext-sock"; "proc-fd" ] else [ "ext-sock" ] in
-    let v, _ = proc_variant ~plugins ~stage_kill:false () in
-    verdict v
-  | "extshm" ->
-    let plugins = if plugins_on then [ "ext-sock"; "ext-shm" ] else [ "ext-sock" ] in
-    let v, _ = shm_variant ~plugins ~kill:true ~stage_kill:false () in
-    verdict v
-  | _ -> invalid_arg (sprintf "unknown heuristic %S" name)
+  match List.assoc_opt name heuristics with
+  | Some h ->
+    let verdict, _, _ = cycle h ~on:plugins_on ~ending:Kill in
+    Option.value verdict ~default:"<no verdict>"
+  | None -> invalid_arg (sprintf "unknown heuristic %S" name)

@@ -31,20 +31,6 @@ let rpn = 2
 let nprocs = nodes * rpn
 let crash_node = 1 (* worker node: ranks 2 and 3 plus its proxy daemon *)
 
-let output env ~node ~out_path =
-  match
-    Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl node)) out_path
-  with
-  | Some f -> Some (Simos.Vfs.read_all f)
-  | None -> None
-
-let run_until env ~deadline pred =
-  while (not (pred ())) && Simos.Cluster.now env.Common.cl < deadline do
-    Common.run_for env 0.1
-  done
-
-let saw events name = List.exists (fun (e : Trace.event) -> e.Trace.name = name) events
-
 let options_with plugins = { Dmtcp.Options.default with Dmtcp.Options.plugins }
 let proxy_plugins = [ "ext-sock"; "mpi-proxy" ]
 
@@ -72,15 +58,19 @@ let stencil_extra = [ "256"; "8"; "40"; "0.02" ]
 
 let result_path ~short = sprintf "/result/%s-%d" short base_port
 
+(* run until rank 0 writes the result file; its bytes *)
+let result env ~short =
+  let path = result_path ~short in
+  Case.run_until env ~within:120. (fun () -> Case.output env ~node:0 path <> None);
+  Case.output env ~node:0 path
+
 (* run the workload with no fault at all and return the result bytes:
    the reference every faulted run must reproduce exactly *)
 let reference_run ~prog ~extra ~short =
   Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes ~cores_per_node:2 ~options:(options_with proxy_plugins) () in
   Common.start_workload env (workload ~prog ~extra);
-  let deadline = Simos.Cluster.now env.Common.cl +. 120. in
-  run_until env ~deadline (fun () -> output env ~node:0 ~out_path:(result_path ~short) <> None);
-  let out = output env ~node:0 ~out_path:(result_path ~short) in
+  let out = result env ~short in
   Common.teardown env;
   out
 
@@ -118,54 +108,44 @@ let faulted_run ~prog ~extra ~short ~window =
   Common.start_workload env (workload ~prog ~extra);
   (* into the collective window, then checkpoint mid-flight *)
   Common.run_for env window;
-  let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Dmtcp.Api.checkpoint_now env.Common.rt;
-  let script = Dmtcp.Api.restart_script env.Common.rt in
-  (* let traffic move again, then sample the ledger and crash *)
-  Common.run_for env 0.02;
-  let sent, delivered, retained = Proxy.Accounting.totals ~base_port in
-  let in_flight = (sent, delivered, retained) in
-  Simos.Cluster.crash_node env.Common.cl crash_node;
-  Common.run_for env 0.1;
-  Dmtcp.Api.kill_computation env.Common.rt;
-  Dmtcp.Api.restart env.Common.rt script;
-  Dmtcp.Api.await_restart env.Common.rt;
-  let deadline = Simos.Cluster.now env.Common.cl +. 120. in
-  run_until env ~deadline (fun () -> output env ~node:0 ~out_path:(result_path ~short) <> None);
-  Trace.detach sink;
-  let out = output env ~node:0 ~out_path:(result_path ~short) in
+  let (out, in_flight, script), events =
+    Case.traced (fun () ->
+        Dmtcp.Api.checkpoint_now env.Common.rt;
+        let script = Dmtcp.Api.restart_script env.Common.rt in
+        (* let traffic move again, then sample the ledger and crash *)
+        Common.run_for env 0.02;
+        let in_flight = Proxy.Accounting.totals ~base_port in
+        Simos.Cluster.crash_node env.Common.cl crash_node;
+        Common.run_for env 0.1;
+        Dmtcp.Api.kill_computation env.Common.rt;
+        Dmtcp.Api.restart env.Common.rt script;
+        Dmtcp.Api.await_restart env.Common.rt;
+        (result env ~short, in_flight, script))
+  in
   let images = image_stats env script in
   Common.teardown env;
-  (out, in_flight, Trace.events col, images)
+  (out, in_flight, events, images)
 
-(* [fail] below takes a plain string: a ksprintf-style format function
-   cannot be passed around polymorphically *)
-let check_verdict fail ~what ~reference ~faulted =
-  match (reference, faulted) with
-  | None, _ -> fail (sprintf "%s: the unfaulted reference run never produced a result" what)
-  | _, None -> fail (sprintf "%s: the faulted run never produced a result" what)
-  | Some r, Some f ->
-    if r <> f then
-      fail (sprintf "%s: restarted result %S differs from the no-fault reference %S" what f r)
+(* the restarted result must exist and equal the unfaulted reference *)
+let check_verdict v ~what ~reference ~faulted =
+  match reference with
+  | None -> Case.fail v "%s: the unfaulted reference run never produced a result" what
+  | Some want ->
+    Case.expect v ~what:(what ^ ": restarted result vs the no-fault reference") ~want faulted
 
-let check_common fail ~what (events, (estab, drained)) =
-  if not (saw events "plugin/mpi-proxy/fd-capture") then
-    fail (sprintf "%s: no mpi-proxy span at fd-capture" what);
-  if not (saw events "plugin/mpi-proxy/restart-rearrange") then
-    fail (sprintf "%s: no mpi-proxy span at restart-rearrange" what);
+let check_common v ~what (events, (estab, drained)) =
+  if not (Case.saw events "plugin/mpi-proxy/fd-capture") then
+    Case.fail v "%s: no mpi-proxy span at fd-capture" what;
+  if not (Case.saw events "plugin/mpi-proxy/restart-rearrange") then
+    Case.fail v "%s: no mpi-proxy span at restart-rearrange" what;
   (* the whole point of the split: rank images carry no live socket
      state and nothing drained *)
   if estab > 0 then
-    fail (sprintf "%s: %d established socket specs in proxy-backend rank images" what estab);
-  if drained > 0 then
-    fail (sprintf "%s: %d drained bytes in proxy-backend rank images" what drained)
+    Case.fail v "%s: %d established socket specs in proxy-backend rank images" what estab;
+  if drained > 0 then Case.fail v "%s: %d drained bytes in proxy-backend rank images" what drained
 
 let kill_mid_allreduce () =
-  let violations = ref [] in
-  let fail m = violations := m :: !violations in
-  let failf fmt = Printf.ksprintf fail fmt in
+  let v = Case.verdict () in
   let reference = reference_run ~prog:Apps.Stencil.bsp_prog ~extra:bsp_extra ~short:"bsp" in
   let faulted, (sent, delivered, _), events, images =
     (* just past warmup: inside phase 0's straggle window, the
@@ -174,18 +154,16 @@ let kill_mid_allreduce () =
     faulted_run ~prog:Apps.Stencil.bsp_prog ~extra:bsp_extra ~short:"bsp" ~window:0.02
   in
   if sent <= delivered then
-    failf
+    Case.fail v
       "mid-allreduce crash found nothing in flight (sent %d, delivered %d) — the kill missed \
        the collective"
       sent delivered;
-  check_common fail ~what:"mid-allreduce" (events, images);
-  check_verdict fail ~what:"mid-allreduce" ~reference ~faulted;
-  !violations
+  check_common v ~what:"mid-allreduce" (events, images);
+  check_verdict v ~what:"mid-allreduce" ~reference ~faulted;
+  Case.violations v
 
 let kill_mid_halo () =
-  let violations = ref [] in
-  let fail m = violations := m :: !violations in
-  let failf fmt = Printf.ksprintf fail fmt in
+  let v = Case.verdict () in
   let reference =
     reference_run ~prog:Apps.Stencil.stencil_prog ~extra:stencil_extra ~short:"stencil"
   in
@@ -193,12 +171,12 @@ let kill_mid_halo () =
     faulted_run ~prog:Apps.Stencil.stencil_prog ~extra:stencil_extra ~short:"stencil"
       ~window:0.02
   in
-  if sent = 0 then fail "mid-halo crash saw no traffic at all (sent 0)";
+  if sent = 0 then Case.fail v "mid-halo crash saw no traffic at all (sent 0)";
   if delivered > sent then
-    failf "ledger inversion at the crash instant: delivered %d > sent %d" delivered sent;
-  check_common fail ~what:"mid-halo" (events, images);
-  check_verdict fail ~what:"mid-halo" ~reference ~faulted;
-  !violations
+    Case.fail v "ledger inversion at the crash instant: delivered %d > sent %d" delivered sent;
+  check_common v ~what:"mid-halo" (events, images);
+  check_verdict v ~what:"mid-halo" ~reference ~faulted;
+  Case.violations v
 
 (* ------------------------------------------------------------------ *)
 (* CLI surface: `dmtcp_sim mpi chaos` prints one verdict line per

@@ -21,7 +21,11 @@
    [run ~faults:false] replays the same submissions (including the
    preemptor batch) without the node failure and the drain; [check]
    compares the faulted run against that reference: every job must
-   finish with bit-identical output. *)
+   finish with bit-identical output.
+
+   The canned three-job scenario ([Sched_demo]) and the seeded corpus
+   ([Sched_fault]) are built from the same parts: [boot], [inject],
+   [finish] and [job_verdict]. *)
 
 module Common = Harness.Common
 
@@ -48,8 +52,10 @@ let options () =
     keep_generations = 2;
   }
 
-let counter_spec ~name ~nodes ~priority ~target =
-  let out i = sprintf "/data/%s_%d" name i in
+(* [nodes] counters of [target] steps, one per node; the [i]th writes
+   its verdict to [out]_[i] *)
+let counter_job ~out ~name ~nodes ~priority ~target =
+  let out i = sprintf "%s_%d" out i in
   {
     Sched.Job.sp_name = name;
     sp_nodes = nodes;
@@ -63,6 +69,8 @@ let counter_spec ~name ~nodes ~priority ~target =
     sp_outputs = (fun a -> List.init nodes (fun i -> (a.(i), out i)));
   }
 
+let counter_spec ~name = counter_job ~out:("/data/" ^ name) ~name
+
 (* a node currently hosting a Running job (first by job id, last slot) *)
 let victim_node sched =
   let running =
@@ -74,13 +82,36 @@ let victim_node sched =
   | Some { Sched.Job.alloc = Some a; _ } -> Some a.(Array.length a - 1)
   | _ -> None
 
-let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_inflight = 0)
-    ?(ckpt_interval = 0.25) () =
+(* a cluster of [nodes] two-core nodes with the store-backed options and
+   a scheduler over it *)
+let boot ~nodes ~ckpt_interval ?max_inflight () =
   Progs.ensure_registered ();
   let env = Common.setup ~nodes ~cores_per_node:2 ~options:(options ()) () in
-  let sched =
-    Sched.Scheduler.create ~ckpt_interval ~max_inflight env.Common.cl env.Common.rt
+  (env, Sched.Scheduler.create ~ckpt_interval ?max_inflight env.Common.cl env.Common.rt)
+
+(* Schedule a node fail-stop and a drain.  Each is a time and a picker
+   that names the node at that instant, or none to skip the fault. *)
+let inject env sched ?fail ?drain () =
+  let eng = Simos.Cluster.engine env.Common.cl in
+  let at act (time, pick) =
+    ignore (Sim.Engine.schedule_at eng ~time (fun () -> Option.iter (act sched) (pick ())))
   in
+  Option.iter (at Sched.Scheduler.fail_node) fail;
+  Option.iter (at Sched.Scheduler.drain) drain
+
+(* run the scheduler to [until] and collect every job's verdicts *)
+let finish env sched ~until =
+  let unfinished = Sched.Scheduler.run ~until sched in
+  let outputs =
+    List.map
+      (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
+      (Sched.Scheduler.jobs sched)
+  in
+  { k_env = env; k_sched = sched; k_unfinished = unfinished; k_outputs = outputs }
+
+let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_inflight = 0)
+    ?(ckpt_interval = 0.25) () =
+  let env, sched = boot ~nodes ~ckpt_interval ~max_inflight () in
   let eng = Simos.Cluster.engine env.Common.cl in
   for i = 0 to jobs - 1 do
     (* staggered durations (0.6–0.96 s) so finishes spread over the run
@@ -103,58 +134,62 @@ let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_i
                 (counter_spec ~name:(sprintf "pre%d" i) ~nodes:pre_nodes ~priority:5 ~target:800))
          done));
   if faults then begin
-    ignore
-      (Sim.Engine.schedule_at eng ~time:fail_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.fail_node sched node
-           | None -> ()));
-    ignore
-      (Sim.Engine.schedule_at eng ~time:drain_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.drain sched node
-           | None -> ()))
+    let victim () = victim_node sched in
+    inject env sched ~fail:(fail_at, victim) ~drain:(drain_at, victim) ()
   end;
-  let unfinished = Sched.Scheduler.run ~until:3600. sched in
-  let outputs =
-    List.map
-      (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
-      (Sched.Scheduler.jobs sched)
-  in
-  { k_env = env; k_sched = sched; k_unfinished = unfinished; k_outputs = outputs }
+  finish env sched ~until:3600.
 
-(* Violations of the faulted run, judged against the no-fault reference. *)
-let check ~reference faulted =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt in
+let outputs_text outs = String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) outs)
+
+(* The faulted run against its no-fault reference: both runs finished,
+   every faulted job ended Done, the scheduler's own invariants hold,
+   and both runs hold the same jobs with byte-identical verdicts. *)
+let job_verdict ~reference faulted =
+  let v = Case.verdict () in
   if reference.k_unfinished > 0 then
-    fail "reference run left %d job(s) unfinished" reference.k_unfinished;
-  if faulted.k_unfinished > 0 then
-    fail "faulted run left %d job(s) unfinished" faulted.k_unfinished;
+    Case.fail v "reference run left %d job(s) unfinished" reference.k_unfinished;
+  if faulted.k_unfinished > 0 then begin
+    Case.fail v "faulted run left %d job(s) unfinished" faulted.k_unfinished;
+    List.iter (Case.fail v "  %s") (Sched.Scheduler.status_lines faulted.k_sched)
+  end;
   List.iter
     (fun (j : Sched.Job.t) ->
       match j.Sched.Job.phase with
       | Sched.Job.Done -> ()
-      | p -> fail "job %d (%s) ended %s" j.Sched.Job.id j.Sched.Job.spec.Sched.Job.sp_name
-               (Sched.Job.phase_name p))
+      | p ->
+        Case.fail v "job %d (%s) ended %s" j.Sched.Job.id j.Sched.Job.spec.Sched.Job.sp_name
+          (Sched.Job.phase_name p))
     (Sched.Scheduler.jobs faulted.k_sched);
-  List.iter (fun v -> fail "sched invariant: %s" v) (Sched.Scheduler.violations faulted.k_sched);
+  List.iter (Case.fail v "sched invariant: %s") (Sched.Scheduler.violations faulted.k_sched);
   List.iter
     (fun (id, outs) ->
       match List.assoc_opt id faulted.k_outputs with
-      | None -> fail "job %d missing from faulted run" id
-      | Some outs' ->
-        if outs <> outs' then
-          fail "job %d output diverged from no-fault reference" id)
+      | None -> Case.fail v "job %d missing from faulted run" id
+      | Some outs' when outs' <> outs ->
+        Case.fail v "job %d output diverged from no-fault reference (%s vs %s)" id
+          (outputs_text outs) (outputs_text outs')
+      | Some _ -> ())
     reference.k_outputs;
-  (* the three policies must all actually have fired *)
-  if Sched.Scheduler.preemptions faulted.k_sched < 1 then
-    fail "no preemption happened (the prio-5 batch displaced nobody)";
-  if Sched.Scheduler.node_failures faulted.k_sched < 1 then
-    fail "node failure was never injected";
-  if Sched.Scheduler.drains faulted.k_sched < 1 then fail "drain was never injected";
-  if Sched.Scheduler.restarts faulted.k_sched < 1 then
-    fail "no job ever restarted from a checkpoint image";
-  !violations
+  List.iter
+    (fun (id, _) ->
+      if not (List.mem_assoc id reference.k_outputs) then
+        Case.fail v "job %d absent from reference run" id)
+    faulted.k_outputs;
+  Case.violations v
+
+(* [job_verdict], plus: all three policies actually fired, and the store
+   and cluster invariants hold after the faulted run. *)
+let check ~reference faulted =
+  let s = faulted.k_sched in
+  let v = Case.verdict () in
+  if Sched.Scheduler.preemptions s < 1 then
+    Case.fail v "no preemption happened (the prio-5 arrival displaced nobody)";
+  if Sched.Scheduler.node_failures s < 1 then Case.fail v "node failure was never injected";
+  if Sched.Scheduler.drains s < 1 then Case.fail v "drain was never injected";
+  if Sched.Scheduler.restarts s < 1 then
+    Case.fail v "no job ever restarted from a checkpoint image";
+  job_verdict ~reference faulted
+  @ Case.violations v
   @ Invariant.store_replication faulted.k_env.Common.rt
   @ Invariant.quiescent faulted.k_env
 

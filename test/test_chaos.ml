@@ -136,50 +136,45 @@ let check_bug_caught ~name flag =
         in
         Alcotest.(check bool) (name ^ ": reproducer replays") false (Chaos.Runner.pass r))
 
-(* store-specific scenarios: replica loss between checkpoint and
-   restart (kept out of [Scenario.sample] so the pinned corpus's RNG
-   draw order is untouched) *)
-let check_store_fault name run =
-  match run () with
-  | [] -> ()
-  | violations -> Alcotest.failf "%s: %s" name (String.concat "; " violations)
+(* Deterministic fault families, each a scenario returning its
+   violations.  They live outside [Scenario.sample] so the pinned
+   corpus's RNG draw order is untouched:
+   - store-fault: replica loss between checkpoint and restart
+   - delta-fault: faults aimed at the incremental/forked fast path
+   - restore-fault: lazy restore and the striped replica fetch
+   - plugin-fault: the paper's open-world heuristics as plugins, each
+     through a checkpoint with a kill landing between its hook stages *)
+let families =
+  [
+    ( "store-fault",
+      [
+        ("restart from surviving replica", Chaos.Store_fault.replica_loss);
+        ("total replica loss fails cleanly", Chaos.Store_fault.total_loss);
+      ] );
+    ( "delta-fault",
+      [
+        ("depth-3 chain restart is bit-identical", Chaos.Delta_fault.deep_chain);
+        ("node crash mid-forked checkpoint", Chaos.Delta_fault.forked_crash);
+        ("delta base replica loss fails cleanly", Chaos.Delta_fault.base_loss);
+      ] );
+    ( "restore-fault",
+      [
+        ("node crash mid-lazy-restore", Chaos.Store_fault.lazy_kill);
+        ("replica drop mid-striped-fetch", Chaos.Store_fault.stripe_drop);
+      ] );
+    ( "plugin-fault",
+      [
+        ("blacklisted port skipped, dead socket back", Chaos.Plugin_fault.blacklist_skip);
+        ("/proc fd re-pointed at restarted pid", Chaos.Plugin_fault.proc_repoint);
+        ("external shm zeroed in image only", Chaos.Plugin_fault.shm_zero);
+      ] );
+  ]
 
-let test_store_replica_loss () =
-  check_store_fault "replica loss" Chaos.Store_fault.replica_loss
-
-let test_store_total_loss () =
-  check_store_fault "total loss" Chaos.Store_fault.total_loss
-
-(* delta-chain scenarios: faults aimed at the incremental/forked fast
-   path (same convention — outside [Scenario.sample]) *)
-let test_delta_deep_chain () =
-  check_store_fault "deep chain" Chaos.Delta_fault.deep_chain
-
-let test_delta_forked_crash () =
-  check_store_fault "forked crash" Chaos.Delta_fault.forked_crash
-
-let test_delta_base_loss () =
-  check_store_fault "base loss" Chaos.Delta_fault.base_loss
-
-(* restart fast-path scenarios: faults aimed at lazy restore and the
-   striped replica fetch (same convention — outside [Scenario.sample]) *)
-let test_restore_lazy_kill () =
-  check_store_fault "lazy kill" Chaos.Restore_fault.lazy_kill
-
-let test_restore_stripe_drop () =
-  check_store_fault "stripe drop" Chaos.Restore_fault.stripe_drop
-
-(* heuristic-plugin scenarios: the paper's open-world heuristics as
-   plugins, each through a checkpoint with a kill landing between its
-   hook stages (same convention — outside [Scenario.sample]) *)
-let test_plugin_blacklist () =
-  check_store_fault "blacklist skip" Chaos.Plugin_fault.blacklist_skip
-
-let test_plugin_proc_repoint () =
-  check_store_fault "proc repoint" Chaos.Plugin_fault.proc_repoint
-
-let test_plugin_shm_zero () =
-  check_store_fault "shm zero" Chaos.Plugin_fault.shm_zero
+let scenario_case (name, run) =
+  Alcotest.test_case name `Quick (fun () ->
+      match run () with
+      | [] -> ()
+      | violations -> Alcotest.failf "%s: %s" name (String.concat "; " violations))
 
 let test_catches_skip_drain () =
   check_bug_caught ~name:"skip-drain" Dmtcp.Faults.bug_skip_drain
@@ -191,57 +186,32 @@ let test_catches_drop_refill () =
 
 let () =
   Alcotest.run "chaos"
-    [
-      ( "scenario",
-        [
-          Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
-          Alcotest.test_case "seeds vary" `Quick test_scenarios_vary;
-          Alcotest.test_case "well-formed" `Quick test_scenario_well_formed;
-          Alcotest.test_case "with_faults filters" `Quick test_with_faults_filters;
-        ] );
-      ( "shrink",
-        [
-          Alcotest.test_case "single cause" `Quick test_shrink_to_single_cause;
-          Alcotest.test_case "conjunction" `Quick test_shrink_conjunction;
-          Alcotest.test_case "non-failure untouched" `Quick test_shrink_not_failing;
-        ] );
-      ( "torture",
-        [
-          Alcotest.test_case "recovery canary (seed 5)" `Quick test_run_exercises_recovery;
-          Alcotest.test_case "run deterministic (seed 11)" `Quick test_run_deterministic;
-          Alcotest.test_case
-            (Printf.sprintf "corpus (%d seeds)" seed_count)
-            `Quick test_corpus;
-        ] );
-      ( "bug-detection",
-        [
-          Alcotest.test_case "catches skip-drain" `Quick test_catches_skip_drain;
-          Alcotest.test_case "catches drop-refill" `Quick test_catches_drop_refill;
-        ] );
-      ( "store-fault",
-        [
-          Alcotest.test_case "restart from surviving replica" `Quick test_store_replica_loss;
-          Alcotest.test_case "total replica loss fails cleanly" `Quick test_store_total_loss;
-        ] );
-      ( "delta-fault",
-        [
-          Alcotest.test_case "depth-3 chain restart is bit-identical" `Quick
-            test_delta_deep_chain;
-          Alcotest.test_case "node crash mid-forked checkpoint" `Quick test_delta_forked_crash;
-          Alcotest.test_case "delta base replica loss fails cleanly" `Quick
-            test_delta_base_loss;
-        ] );
-      ( "restore-fault",
-        [
-          Alcotest.test_case "node crash mid-lazy-restore" `Quick test_restore_lazy_kill;
-          Alcotest.test_case "replica drop mid-striped-fetch" `Quick test_restore_stripe_drop;
-        ] );
-      ( "plugin-fault",
-        [
-          Alcotest.test_case "blacklisted port skipped, dead socket back" `Quick
-            test_plugin_blacklist;
-          Alcotest.test_case "/proc fd re-pointed at restarted pid" `Quick
-            test_plugin_proc_repoint;
-          Alcotest.test_case "external shm zeroed in image only" `Quick test_plugin_shm_zero;
-        ] );
-    ]
+    ([
+       ( "scenario",
+         [
+           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
+           Alcotest.test_case "seeds vary" `Quick test_scenarios_vary;
+           Alcotest.test_case "well-formed" `Quick test_scenario_well_formed;
+           Alcotest.test_case "with_faults filters" `Quick test_with_faults_filters;
+         ] );
+       ( "shrink",
+         [
+           Alcotest.test_case "single cause" `Quick test_shrink_to_single_cause;
+           Alcotest.test_case "conjunction" `Quick test_shrink_conjunction;
+           Alcotest.test_case "non-failure untouched" `Quick test_shrink_not_failing;
+         ] );
+       ( "torture",
+         [
+           Alcotest.test_case "recovery canary (seed 5)" `Quick test_run_exercises_recovery;
+           Alcotest.test_case "run deterministic (seed 11)" `Quick test_run_deterministic;
+           Alcotest.test_case
+             (Printf.sprintf "corpus (%d seeds)" seed_count)
+             `Quick test_corpus;
+         ] );
+       ( "bug-detection",
+         [
+           Alcotest.test_case "catches skip-drain" `Quick test_catches_skip_drain;
+           Alcotest.test_case "catches drop-refill" `Quick test_catches_drop_refill;
+         ] );
+     ]
+    @ List.map (fun (group, scenarios) -> (group, List.map scenario_case scenarios)) families)

@@ -316,37 +316,37 @@ let test_preempt_coalesces_with_inflight_ckpt () =
 let test_demo_faulted_matches_reference () =
   let reference = Chaos.Sched_demo.run ~faults:false () in
   let faulted = Chaos.Sched_demo.run ~faults:true () in
-  (match Chaos.Sched_demo.check ~reference faulted with
+  (match Chaos.Sched_demo1k.check ~reference faulted with
   | [] -> ()
   | violations -> Alcotest.fail (String.concat "; " violations));
   (* the reference run still sees the preemption (the big arrival is not
      a fault) but no node failure, no drain *)
-  let rs = reference.Chaos.Sched_demo.d_sched in
+  let rs = reference.Chaos.Sched_demo1k.k_sched in
   check Alcotest.int "reference preempts too" 1 (Sched.Scheduler.preemptions rs);
   check Alcotest.int "reference has no node failure" 0 (Sched.Scheduler.node_failures rs);
   check Alcotest.int "reference has no drain" 0 (Sched.Scheduler.drains rs);
   Alcotest.(check bool)
     "faults cost lost work" true
-    (Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo.d_sched > 0.);
+    (Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo1k.k_sched > 0.);
   Alcotest.(check bool)
     "makespan is positive" true
-    (Sched.Scheduler.makespan faulted.Chaos.Sched_demo.d_sched > 0.)
+    (Sched.Scheduler.makespan faulted.Chaos.Sched_demo1k.k_sched > 0.)
 
 let test_demo_deterministic () =
   let a = Chaos.Sched_demo.run ~faults:true () in
   let b = Chaos.Sched_demo.run ~faults:true () in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))))
-    "verdicts identical across runs" a.Chaos.Sched_demo.d_outputs b.Chaos.Sched_demo.d_outputs;
+    "verdicts identical across runs" a.Chaos.Sched_demo1k.k_outputs b.Chaos.Sched_demo1k.k_outputs;
   check (Alcotest.float 0.) "makespan identical"
-    (Sched.Scheduler.makespan a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.makespan b.Chaos.Sched_demo.d_sched);
+    (Sched.Scheduler.makespan a.Chaos.Sched_demo1k.k_sched)
+    (Sched.Scheduler.makespan b.Chaos.Sched_demo1k.k_sched);
   check (Alcotest.float 0.) "lost work identical"
-    (Sched.Scheduler.total_lost_work a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.total_lost_work b.Chaos.Sched_demo.d_sched);
+    (Sched.Scheduler.total_lost_work a.Chaos.Sched_demo1k.k_sched)
+    (Sched.Scheduler.total_lost_work b.Chaos.Sched_demo1k.k_sched);
   check Alcotest.int "restart count identical"
-    (Sched.Scheduler.restarts a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.restarts b.Chaos.Sched_demo.d_sched)
+    (Sched.Scheduler.restarts a.Chaos.Sched_demo1k.k_sched)
+    (Sched.Scheduler.restarts b.Chaos.Sched_demo1k.k_sched)
 
 (* scaled-down slice of the 1000-job demo: same shape (deep queue of
    staggered single-node jobs, prio-5 batch, node loss, drain) on a
@@ -360,6 +360,80 @@ let test_demo1k_smoke () =
   Alcotest.(check bool)
     "ops overlap in flight (>= 8)" true
     (Sched.Scheduler.peak_ops_inflight faulted.Chaos.Sched_demo1k.k_sched >= 8)
+
+(* ------------------------------------------------------------------ *)
+(* the failure side of the shared verdicts: every scenario passes, so
+   only tampered results reach these branches *)
+
+module K = Chaos.Sched_demo1k
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* exactly one violation, and it mentions [fragment] *)
+let reports_once what fragment violations =
+  match violations with
+  | [ v ] when contains v fragment -> ()
+  | vs ->
+    Alcotest.failf "%s: want one violation naming %S, got [%s]" what fragment
+      (String.concat "; " vs)
+
+let test_job_verdict_failures () =
+  let r = K.run ~jobs:20 ~nodes:4 ~faults:false () in
+  check Alcotest.(list string) "untouched copy passes" [] (K.job_verdict ~reference:r r);
+  let id, outs = List.nth r.K.k_outputs 3 in
+  let changed =
+    List.map
+      (fun (j, o) -> if j = id then (j, List.map (fun (p, v) -> (p, v ^ "!")) o) else (j, o))
+      r.K.k_outputs
+  in
+  reports_once "changed output"
+    (Printf.sprintf "job %d output diverged" id)
+    (K.job_verdict ~reference:r { r with K.k_outputs = changed });
+  reports_once "dropped job"
+    (Printf.sprintf "job %d missing from faulted run" id)
+    (K.job_verdict ~reference:r { r with K.k_outputs = List.remove_assoc id r.K.k_outputs });
+  reports_once "extra job" "job 999 absent from reference run"
+    (K.job_verdict ~reference:r { r with K.k_outputs = r.K.k_outputs @ [ (999, outs) ] });
+  reports_once "unfinished reference" "reference run left 2 job(s) unfinished"
+    (K.job_verdict ~reference:{ r with K.k_unfinished = 2 } r);
+  (* an unfinished faulted run also dumps the scheduler's status lines *)
+  match K.job_verdict ~reference:r { r with K.k_unfinished = 1 } with
+  | v :: _ :: _ when v = "faulted run left 1 job(s) unfinished" -> ()
+  | vs -> Alcotest.failf "unfinished faulted run: got [%s]" (String.concat "; " vs)
+
+let test_expect_failures () =
+  let v = Chaos.Case.verdict () in
+  Chaos.Case.expect v ~what:"right" ~want:"hog:400" (Some "hog:400");
+  Chaos.Case.expect v ~what:"wrong" ~want:"hog:400" (Some "hog:399");
+  Chaos.Case.expect v ~what:"missing" ~want:"hog:400" None;
+  check
+    Alcotest.(list string)
+    "wrong and missing output reported, in order"
+    [ {|wrong: expected "hog:400", got "hog:399"|}; "missing: never finished (no output)" ]
+    (Chaos.Case.violations v)
+
+let test_clean_failure_failures () =
+  let env = Harness.Common.setup ~nodes:2 ~cores_per_node:1 () in
+  let ev name args =
+    { Trace.time = 0.; node = 1; pid = 2; cat = "dmtcp"; name; kind = Trace.Instant; args }
+  in
+  let verdict events ~output =
+    let v = Chaos.Case.verdict () in
+    Chaos.Case.clean_failure v ~what:"t" env events ~output;
+    Chaos.Case.violations v
+  in
+  let exit73 = ev "proc/exit" [ ("code", "73") ] in
+  let named = ev "rst/missing-blocks" [ ("blocks", "ab12") ] in
+  check Alcotest.(list string) "clean exit 73 passes" [] (verdict [ exit73; named ] ~output:None);
+  reports_once "wrong exit code" "did not exit 73 (saw exits: 1)"
+    (verdict [ ev "proc/exit" [ ("code", "1") ]; named ] ~output:None);
+  reports_once "no report" "no missing-blocks report" (verdict [ exit73 ] ~output:None);
+  reports_once "unnamed blocks" "does not name the lost blocks"
+    (verdict [ exit73; ev "rst/missing-blocks" [ ("blocks", "") ] ] ~output:None);
+  reports_once "output written" "output produced" (verdict [ exit73; named ] ~output:(Some "x"))
 
 (* ------------------------------------------------------------------ *)
 (* seeded chaos corpus *)
@@ -411,4 +485,12 @@ let () =
         ] );
       ( "chaos",
         [ Alcotest.test_case "seed corpus" `Slow test_chaos_corpus ] );
+      ( "verdicts",
+        [
+          Alcotest.test_case "job verdict reports tampered results" `Quick
+            test_job_verdict_failures;
+          Alcotest.test_case "expect reports wrong and missing output" `Quick test_expect_failures;
+          Alcotest.test_case "clean failure reports each broken condition" `Quick
+            test_clean_failure_failures;
+        ] );
     ]
