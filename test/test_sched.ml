@@ -485,7 +485,7 @@ let () =
         ] );
       ( "chaos",
         [ Alcotest.test_case "seed corpus" `Slow test_chaos_corpus ] );
-      ( "verdicts",
+      ( "tamper",
         [
           Alcotest.test_case "job verdict reports tampered results" `Quick
             test_job_verdict_failures;
