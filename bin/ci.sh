@@ -32,27 +32,21 @@ tier1_start=$(date +%s)
 dune runtest
 echo "tier-1 wall: $(( $(date +%s) - tier1_start )) s"
 
-echo "== trace determinism: fixed scenario, two runs, byte-identical =="
-dune exec bin/dmtcp_sim.exe -- trace --check-determinism
-
-echo "== incremental determinism: delta-chain scenario (forked + incremental), two runs =="
-# Same scenario with the incremental/forked fast path on: three
-# checkpoints chain two deltas onto a full image before the kill, so
-# the restart resolves a depth-2 chain -- and must still be
-# byte-identical across runs.
-dune exec bin/dmtcp_sim.exe -- trace --incremental --check-determinism
-
-echo "== lazy-restart determinism: demand-paged restore scenario, two runs =="
-# Lazy restore moves modeled time only (residency never changes page
-# contents), so a restart that resumes after the hot set and drains
-# cold pages through the prefetcher must trace byte-identical too.
-dune exec bin/dmtcp_sim.exe -- trace --lazy --check-determinism
-
-echo "== plugin determinism: every heuristic plugin on, two runs =="
-# The plugin/<name>/<site> spans join the trace stream; dispatch order
-# is registration order, so the traced cycle must stay byte-identical
-# across runs with every built-in heuristic enabled.
-dune exec bin/dmtcp_sim.exe -- trace --plugins --check-determinism
+# The fixed traced checkpoint/kill/restart cycle, run twice per flag
+# set and required to be byte-identical each time:
+#   (none)         the base scenario
+#   --incremental  forked + incremental: three checkpoints chain two
+#                  deltas onto a full image, so the restart resolves a
+#                  depth-2 chain
+#   --lazy         demand-paged restore: residency moves modeled time
+#                  only, never page contents
+#   --plugins      every heuristic plugin on: plugin/<name>/<site> spans
+#                  join the stream in registration order
+for flags in "" --incremental --lazy --plugins; do
+  echo "== trace determinism: ${flags:-base} scenario, two runs, byte-identical =="
+  # $flags is unquoted on purpose: the empty set must pass no argument
+  dune exec bin/dmtcp_sim.exe -- trace $flags --check-determinism
+done
 
 echo "== plugin smoke: registry listing + heuristic verdict diff =="
 # Each heuristic scenario must change its verdict when its plugin is

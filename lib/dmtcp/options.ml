@@ -180,17 +180,8 @@ let of_env env =
     mpi_proxy_prefix;
   }
 
+(* Every key [of_env] reads is one [to_env] writes. *)
+let env_keys = List.map fst (to_env default)
+
 let of_getenv getenv =
-  let env =
-    List.filter_map
-      (fun k -> Option.map (fun v -> (k, v)) (getenv k))
-      [
-        hijack_key; "DMTCP_COORD_HOST"; "DMTCP_COORD_PORT"; "DMTCP_CHECKPOINT_DIR"; "DMTCP_GZIP";
-        "DMTCP_FORKED"; "DMTCP_INCREMENTAL"; "DMTCP_INTERVAL"; "DMTCP_SYNC"; "DMTCP_STORE";
-        "DMTCP_STORE_REPLICAS"; "DMTCP_STORE_QUORUM"; "DMTCP_KEEP_GENERATIONS";
-        "DMTCP_DELTA_CHAIN"; "DMTCP_LAZY_RESTART"; "DMTCP_RESTART_PARALLEL";
-        "DMTCP_COMPACT_DEPTH"; "DMTCP_PLUGINS"; "DMTCP_PLUGIN_BLACKLIST_PORTS";
-        "DMTCP_PLUGIN_EXT_SHM_PREFIX"; "DMTCP_PLUGIN_MPI_PROXY_PREFIX";
-      ]
-  in
-  of_env env
+  of_env (List.filter_map (fun k -> Option.map (fun v -> (k, v)) (getenv k)) env_keys)

@@ -8,13 +8,13 @@ let m_scheduled = Trace.Metrics.counter "sim.scheduled"
 
 type t = {
   mutable clock : float;
-  queue : event Wheel.t;
+  queue : event Util.Heap.t;
   rng : Util.Rng.t;
   mutable live : int;
 }
 
 let create ?(seed = 0x5EEDL) () =
-  { clock = 0.; queue = Wheel.create (); rng = Util.Rng.create seed; live = 0 }
+  { clock = 0.; queue = Util.Heap.create (); rng = Util.Rng.create seed; live = 0 }
 
 let now t = t.clock
 let rng t = t.rng
@@ -22,7 +22,7 @@ let rng t = t.rng
 let schedule_at t ~time fn =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   let ev = { cancelled = false; fn } in
-  Wheel.push t.queue ~time ev;
+  Util.Heap.push t.queue ~priority:time ev;
   t.live <- t.live + 1;
   Trace.Metrics.incr m_scheduled;
   ev
@@ -39,7 +39,7 @@ let pending t =
   t.live
 
 let rec step t =
-  match Wheel.pop t.queue with
+  match Util.Heap.pop t.queue with
   | None -> false
   | Some (time, ev) ->
     t.live <- t.live - 1;
@@ -55,7 +55,7 @@ let run ?until ?(max_events = 50_000_000) t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Wheel.peek t.queue with
+    match Util.Heap.peek t.queue with
     | None -> continue := false
     | Some (time, ev) -> (
       match until with
@@ -63,7 +63,7 @@ let run ?until ?(max_events = 50_000_000) t =
         t.clock <- max t.clock limit;
         continue := false
       | _ ->
-        ignore (Wheel.pop t.queue);
+        ignore (Util.Heap.pop t.queue);
         t.live <- t.live - 1;
         if not ev.cancelled then begin
           t.clock <- time;
@@ -74,7 +74,7 @@ let run ?until ?(max_events = 50_000_000) t =
         end)
   done;
   match until with
-  | Some limit when t.clock < limit && Wheel.is_empty t.queue -> t.clock <- limit
+  | Some limit when t.clock < limit && Util.Heap.is_empty t.queue -> t.clock <- limit
   | _ -> ()
 
 let advance t ~delay = run ~until:(t.clock +. delay) t

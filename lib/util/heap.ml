@@ -1,7 +1,9 @@
-type 'a entry = { priority : float; seq : int; value : 'a }
+(* Slots at or beyond [size] are always [Empty], so a popped value is
+   never kept alive by the heap's backing array. *)
+type 'a slot = Empty | Entry of { priority : float; seq : int; value : 'a }
 
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable data : 'a slot array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -10,7 +12,10 @@ let create () = { data = [||]; size = 0; next_seq = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let less a b = a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+let less a b =
+  match (a, b) with
+  | Entry a, Entry b -> a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+  | _ -> assert false
 
 let swap t i j =
   let tmp = t.data.(i) in
@@ -37,11 +42,10 @@ let rec sift_down t i =
   end
 
 let push t ~priority value =
-  let entry = { priority; seq = t.next_seq; value } in
+  let entry = Entry { priority; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.data then begin
-    let cap = max 16 (2 * t.size) in
-    let data = Array.make cap entry in
+    let data = Array.make (max 16 (2 * t.size)) Empty in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end;
@@ -49,16 +53,19 @@ let push t ~priority value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some (t.data.(0).priority, t.data.(0).value)
+let peek t =
+  if t.size = 0 then None
+  else match t.data.(0) with Entry e -> Some (e.priority, e.value) | Empty -> assert false
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some (top.priority, top.value)
-  end
+  else
+    match t.data.(0) with
+    | Empty -> assert false
+    | Entry top ->
+      let last = t.size - 1 in
+      t.size <- last;
+      t.data.(0) <- t.data.(last);
+      t.data.(last) <- Empty;
+      if last > 0 then sift_down t 0;
+      Some (top.priority, top.value)

@@ -2,7 +2,8 @@
 
     Two entries with equal priority pop in insertion order, which makes the
     event engine deterministic: simultaneous events fire in the order they
-    were scheduled. *)
+    were scheduled, and Huffman tree building assigns the same codes on
+    every run.  A popped value is no longer referenced by the heap. *)
 
 type 'a t
 

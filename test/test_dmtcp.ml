@@ -844,8 +844,11 @@ let test_options_env_roundtrip () =
       mpi_proxy_prefix = "/run/mpiproxy";
     }
   in
-  let opts' = Dmtcp.Options.of_env (Dmtcp.Options.to_env opts) in
-  Alcotest.(check bool) "options survive the environment" true (opts = opts')
+  let env = Dmtcp.Options.to_env opts in
+  let opts' = Dmtcp.Options.of_env env in
+  Alcotest.(check bool) "options survive the environment" true (opts = opts');
+  let opts'' = Dmtcp.Options.of_getenv (fun k -> List.assoc_opt k env) in
+  Alcotest.(check bool) "options survive getenv" true (opts = opts'')
 
 let test_upid_conn_id_codecs () =
   let upid = Dmtcp.Upid.make ~hostid:3 ~pid:204 ~generation:2 in

@@ -1,5 +1,6 @@
 (* Tests for the util library: RNG determinism, codec round-trips, CRC-32
-   known-answer values, statistics, table rendering. *)
+   known-answer values, statistics, table rendering, heap order and
+   retention. *)
 
 open Util
 
@@ -216,6 +217,62 @@ let test_units () =
   check Alcotest.string "seconds" "2.000 s" (Units.pp_seconds 2.0);
   check Alcotest.string "millis" "1.500 ms" (Units.pp_seconds 0.0015)
 
+(* ------------------------------------------------------------------ *)
+(* Heap *)
+
+(* Heap property test: popping returns priorities in nondecreasing order. *)
+let prop_heap_sorted =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"heap pops sorted"
+       QCheck.(list (float_bound_exclusive 1000.))
+       (fun priorities ->
+         let h = Heap.create () in
+         List.iteri (fun i p -> Heap.push h ~priority:p i) priorities;
+         let rec drain acc =
+           match Heap.pop h with
+           | None -> List.rev acc
+           | Some (p, _) -> drain (p :: acc)
+         in
+         let popped = drain [] in
+         popped = List.sort compare priorities))
+
+let prop_heap_fifo_ties =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"heap preserves FIFO among ties"
+       QCheck.(int_bound 50)
+       (fun n ->
+         let h = Heap.create () in
+         for i = 0 to n do
+           Heap.push h ~priority:1.0 i
+         done;
+         let rec drain acc =
+           match Heap.pop h with
+           | None -> List.rev acc
+           | Some (_, v) -> drain (v :: acc)
+         in
+         drain [] = List.init (n + 1) Fun.id))
+
+
+(* Retention: a popped value must not stay reachable from the heap's
+   backing array.  Track every pushed value weakly, pop them all and run
+   a full major GC while the (now empty) heap is still live. *)
+let test_heap_pop_releases () =
+  let n = 100 in
+  let h = Heap.create () in
+  let pushed = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set pushed i (Some v);
+    Heap.push h ~priority:(float_of_int (i mod 7)) v
+  done;
+  for _ = 1 to n do
+    ignore (Heap.pop h)
+  done;
+  Gc.full_major ();
+  let survivors = List.filter (Weak.check pushed) (List.init n Fun.id) in
+  check Alcotest.(list int) "no popped value survives" [] survivors;
+  check Alcotest.bool "heap drained" true (Heap.is_empty h)
+
 let () =
   Alcotest.run "util"
     [
@@ -260,5 +317,11 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "bar chart" `Quick test_bar_chart_nonempty;
           Alcotest.test_case "units" `Quick test_units;
+        ] );
+      ( "heap",
+        [
+          prop_heap_sorted;
+          prop_heap_fifo_ties;
+          Alcotest.test_case "popped values are released" `Quick test_heap_pop_releases;
         ] );
     ]
