@@ -1,90 +1,22 @@
-(* Benchmark harness.
+(* Benchmark harness: the deterministic ratio records CI gates on.
 
-   Two layers, as the repository's benchmarks serve two purposes:
+   Every record is a property of the code, not of the machine or the
+   run — encoder output sizes, store and delta bytes, and simulated
+   milliseconds from virtual-time scenarios — so CI regenerates them
+   and diffs against the committed BENCH_micro.json baseline.  The
+   paper's figures and tables come from `dmtcp_sim all [--quick]`; host
+   cost per layer comes from perfbench/.
 
-   1. Reproduction benches — regenerate every table and figure of the
-      paper's evaluation on the simulated cluster (the numbers are
-      *simulated* seconds/bytes; see EXPERIMENTS.md for the side-by-side
-      with the paper).  Controlled by BENCH_SCALE=quick|full (default
-      quick so `dune exec bench/main.exe` terminates in minutes).
-
-   2. Bechamel micro-benches — real wall-clock throughput of the hot
-      substrate code: the from-scratch compressor, the checkpoint codec,
-      the event queue, and the COW address space.  One Test.make per
-      substrate, all in one executable. *)
-
-let scale =
-  match Sys.getenv_opt "BENCH_SCALE" with
-  | Some "full" -> `Full
-  | _ -> `Quick
-
-let reps = match scale with `Full -> 5 | `Quick -> 2
-
-(* BENCH_SECTIONS=micro|repro|all picks which layer runs (default all);
-   CI's bench smoke runs just the micro layer at quick scale, which
-   takes minutes, not seconds: 150-190 s on a 2-vCPU VM. *)
-let sections =
-  match Sys.getenv_opt "BENCH_SECTIONS" with
-  | Some "micro" -> `Micro
-  | Some "repro" -> `Repro
-  | _ -> `All
+   BENCH_JSON=path writes the records as JSON, BENCH_ASSERT=1 enforces
+   their bounds, BENCH_RESTORE_SWEEP=1 prints the restart sweep tables
+   of EXPERIMENTS.md. *)
 
 let hr title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 72 '=') title (String.make 72 '=');
   flush stdout
 
-(* ------------------------------------------------------------------ *)
-(* 1. Reproduction benches *)
-
-let run_reproduction () =
-  hr "Figure 3: desktop applications (1 node, gzip on)";
-  let apps =
-    match scale with
-    | `Full -> None
-    | `Quick -> Some [ "bc"; "python"; "matlab"; "octave"; "tightvnc+twm"; "vim/cscope" ]
-  in
-  print_string (Harness.Fig3.to_text (Harness.Fig3.run ~reps ?apps ()));
-  flush stdout;
-  hr "Figure 4: distributed applications (32 nodes, 128 cores)";
-  print_string (Harness.Fig4.to_text (Harness.Fig4.run ~reps ~scale ()));
-  flush stdout;
-  hr "Figure 5: ParGeant4 scaling (local disk vs SAN/NFS)";
-  let sizes =
-    match scale with `Full -> [ 16; 32; 48; 64; 80; 96; 112; 128 ] | `Quick -> [ 16; 32; 64 ]
-  in
-  print_string (Harness.Fig5.to_text (Harness.Fig5.run ~reps:(min reps 3) ~sizes ()));
-  flush stdout;
-  hr "Figure 6: checkpoint time vs total memory (no compression)";
-  let totals, nprocs =
-    match scale with
-    | `Full -> ([ 4.; 12.; 20.; 28.; 36.; 44.; 52.; 60.; 68. ], 128)
-    | `Quick -> ([ 4.; 20.; 36. ], 32)
-  in
-  print_string (Harness.Fig6.to_text (Harness.Fig6.run ~reps:2 ~totals_gb:totals ~nprocs ()));
-  flush stdout;
-  hr "Table 1: stage breakdown (NAS/MG under OpenMPI, 8 nodes)";
-  let nprocs = match scale with `Full -> 32 | `Quick -> 16 in
-  print_string (Harness.Table1.to_text (Harness.Table1.run ~reps ~nprocs ()));
-  flush stdout;
-  hr "Section 5.1: runCMS";
-  print_string (Harness.Extras.runcms_text (Harness.Extras.runcms ~reps:2 ()));
-  flush stdout;
-  hr "Section 5.2: sync(2) cost";
-  let nprocs = match scale with `Full -> 32 | `Quick -> 16 in
-  print_string (Harness.Extras.sync_text (Harness.Extras.sync_cost ~reps:(min reps 3) ~nprocs ()));
-  flush stdout;
-  hr "Ablations";
-  print_string (Harness.Extras.forked_text (Harness.Extras.forked_ablation ()));
-  print_string (Harness.Extras.incremental_text (Harness.Extras.incremental_ablation ()));
-  print_string (Harness.Extras.algo_text (Harness.Extras.algo_ablation ()));
-  let sizes = match scale with `Full -> [ 16; 64; 128 ] | `Quick -> [ 8; 16; 32 ] in
-  print_string (Harness.Extras.coordinator_text (Harness.Extras.coordinator_ablation ~sizes ()));
-  let pairs = match scale with `Full -> [ 1; 4; 8 ] | `Quick -> [ 1; 4 ] in
-  print_string (Harness.Extras.drain_text (Harness.Extras.drain_ablation ~pairs_list:pairs ()));
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
-(* 2. Bechamel micro-benches of the substrate *)
+(* simulated seconds as whole milliseconds, the unit of the timing records *)
+let ms s = int_of_float (Float.round (s *. 1000.))
 
 let text_1mb =
   String.concat ""
@@ -92,105 +24,8 @@ let text_1mb =
 
 let random_1mb = Bytes.unsafe_to_string (Util.Rng.bytes (Util.Rng.create 42L) 1_000_000)
 
-let micro_tests =
-  let open Bechamel in
-  [
-    Test.make ~name:"deflate-compress-text-1MB"
-      (Staged.stage (fun () -> ignore (Compress.Deflate.compress text_1mb)));
-    Test.make ~name:"deflate-roundtrip-random-64KB"
-      (Staged.stage
-         (let s = String.sub random_1mb 0 65536 in
-          fun () -> ignore (Compress.Deflate.decompress (Compress.Deflate.compress s))));
-    Test.make ~name:"rle-compress-zeros-1MB"
-      (Staged.stage
-         (let z = String.make 1_000_000 '\000' in
-          fun () -> ignore (Compress.Rle.compress z)));
-    Test.make ~name:"crc32-1MB" (Staged.stage (fun () -> ignore (Util.Crc32.digest text_1mb)));
-    Test.make ~name:"event-queue-10k"
-      (Staged.stage (fun () ->
-           let e = Sim.Engine.create () in
-           for i = 1 to 10_000 do
-             ignore (Sim.Engine.schedule e ~delay:(float_of_int i *. 1e-6) ignore)
-           done;
-           Sim.Engine.run e));
-    Test.make ~name:"address-space-cow-fork"
-      (Staged.stage
-         (let sp = Mem.Address_space.create () in
-          let r =
-            Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
-              ~bytes:(256 * Mem.Page.size) ()
-          in
-          Mem.Address_space.write sp ~addr:r.Mem.Region.start_addr "data";
-          fun () -> ignore (Mem.Address_space.fork sp)));
-    Test.make ~name:"mtcp-image-encode-16MB-synthetic"
-      (Staged.stage
-         (let sp = Mem.Address_space.create () in
-          let _r =
-            Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
-              ~bytes:(256 * Mem.Page.size)
-              ~content:(fun i ->
-                Mem.Page.Synthetic { seed = Int64.of_int i; cls = Mem.Entropy.Numeric })
-              ()
-          in
-          let img =
-            {
-              Mtcp.Image.cmdline = [ "bench" ];
-              env = [];
-              threads = [];
-              space = sp;
-              sigtable = [];
-              pending_signals = [];
-            }
-          in
-          fun () -> ignore (Mtcp.Image.encode ~algo:Compress.Algo.Deflate img)));
-    Test.make ~name:"codec-varint-roundtrip-10k"
-      (Staged.stage (fun () ->
-           let w = Util.Codec.Writer.create () in
-           for i = 0 to 9_999 do
-             Util.Codec.Writer.varint w (i * 31337)
-           done;
-           let r = Util.Codec.Reader.of_string (Util.Codec.Writer.contents w) in
-           for _ = 0 to 9_999 do
-             ignore (Util.Codec.Reader.varint r)
-           done));
-  ]
-
-(* Collect (name, ns/run) pairs so the JSON emitter below can reuse
-   them; printing happens as results arrive. *)
-let run_micro () =
-  hr "Substrate micro-benchmarks (real wall-clock, via bechamel)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let timings =
-    List.concat_map
-      (fun test ->
-        let results = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-        let analyzed =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            (Toolkit.Instance.monotonic_clock) results
-        in
-        Hashtbl.fold
-          (fun name ols acc ->
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] ->
-              Printf.printf "%-42s %14.1f ns/run\n" name est;
-              (name, est) :: acc
-            | _ ->
-              Printf.printf "%-42s (no estimate)\n" name;
-              acc)
-          analyzed [])
-      micro_tests
-  in
-  flush stdout;
-  timings
-
 (* ------------------------------------------------------------------ *)
-(* Deterministic compression-shape records: output sizes are a property
-   of the encoder, not of the machine or the run, so CI can regenerate
-   them and diff against the committed BENCH_micro.json baseline.  The
-   wall-clock timings above are machine-dependent and are excluded from
-   that comparison. *)
+(* Compression shape: output sizes depend only on the encoder. *)
 
 let ratio_records () =
   let rand64k = String.sub random_1mb 0 65536 in
@@ -205,12 +40,8 @@ let ratio_records () =
     ("container-null-random-64KB", 65536, pack Compress.Algo.Null rand64k);
   ]
 
-(* Store dedup shape: two generations of a frame-chunked checkpoint
-   image through the content-addressed store, generation 1 dirtying one
-   256 KiB window out of 16.  Target bytes are a property of the chunker
-   and the store, not of the machine, so they join the ratio baseline:
-   gen 0 ships the whole image, gen 1 ships only the dirtied frame. *)
-let store_records () =
+(* Four local disks, one per node 0-3, behind a store on a fresh engine. *)
+let bench_store ~replicas =
   let eng = Sim.Engine.create () in
   let targets =
     Array.init 4 (fun i ->
@@ -218,34 +49,48 @@ let store_records () =
         Storage.Target.set_node t i;
         t)
   in
-  let store = Store.create ~replicas:2 ~engine:eng ~targets () in
-  let n = 16 * 256 * 1024 in
-  let image g =
-    let b =
-      Bytes.init n (fun i ->
-          Char.chr ((i * 131 + ((i lsr 8) * 17) + ((i lsr 16) * 211)) land 0xff))
-    in
-    if g > 0 then Bytes.fill b (5 * 256 * 1024) (256 * 1024) (Char.chr (g land 0xff));
-    Dmtcp.Ckpt_image.encode
-      {
-        Dmtcp.Ckpt_image.upid = Dmtcp.Upid.make ~hostid:2 ~pid:41 ~generation:g;
-        vpid = 41;
-        parent_vpid = 0;
-        program = "p:bench";
-        fds = [];
-        ptys = [];
-        algo = Compress.Algo.Null;
-        sizes = { Mtcp.Image.uncompressed = n; compressed = n; zero_bytes = 0 };
-        mtcp_blob = Compress.Container.pack ~algo:Compress.Algo.Null (Bytes.to_string b);
-        delta_base = None;
-      }
-  in
+  (eng, Store.create ~replicas ~engine:eng ~targets ())
+
+(* The 4 MiB (16 frames of 256 KiB) byte pattern the store records chunk. *)
+let pattern () =
+  Bytes.init (16 * 256 * 1024) (fun i ->
+      Char.chr ((i * 131 + ((i lsr 8) * 17) + ((i lsr 16) * 211)) land 0xff))
+
+(* The encoded Null-algo checkpoint image of process [hostid]-[pid]
+   holding [body]. *)
+let null_image ~hostid ~pid ~generation body =
+  let n = String.length body in
+  Dmtcp.Ckpt_image.encode
+    {
+      Dmtcp.Ckpt_image.upid = Dmtcp.Upid.make ~hostid ~pid ~generation;
+      vpid = pid;
+      parent_vpid = 0;
+      program = "p:bench";
+      fds = [];
+      ptys = [];
+      algo = Compress.Algo.Null;
+      sizes = { Mtcp.Image.uncompressed = n; compressed = n; zero_bytes = 0 };
+      mtcp_blob = Compress.Container.pack ~algo:Compress.Algo.Null body;
+      delta_base = None;
+    }
+
+let put_image store ~lineage ~generation ~name bytes =
+  ignore
+    (Store.put store ~node:0 ~lineage ~generation ~name ~program:"p:bench"
+       ~sim_bytes:(String.length bytes) ~chunks:(Dmtcp.Ckpt_image.chunk bytes))
+
+(* Store dedup shape: two generations of a frame-chunked checkpoint
+   image through the content-addressed store, generation 1 dirtying one
+   256 KiB window out of 16.  Target bytes are a property of the chunker
+   and the store, not of the machine, so they join the ratio baseline:
+   gen 0 ships the whole image, gen 1 ships only the dirtied frame. *)
+let store_records () =
+  let _eng, store = bench_store ~replicas:2 in
   let put_gen g =
-    let bytes = image g in
-    ignore
-      (Store.put store ~node:0 ~lineage:"2-41" ~generation:g
-         ~name:(Printf.sprintf "img-g%d" g) ~program:"p:bench"
-         ~sim_bytes:(String.length bytes) ~chunks:(Dmtcp.Ckpt_image.chunk bytes));
+    let b = pattern () in
+    if g > 0 then Bytes.fill b (5 * 256 * 1024) (256 * 1024) (Char.chr (g land 0xff));
+    let bytes = null_image ~hostid:2 ~pid:41 ~generation:g (Bytes.to_string b) in
+    put_image store ~lineage:"2-41" ~generation:g ~name:(Printf.sprintf "img-g%d" g) bytes;
     String.length bytes
   in
   let full = put_gen 0 in
@@ -297,7 +142,6 @@ let delta_records () =
   done;
   let delta = Mtcp.Image.encode_delta ~algo img in
   let fk = Harness.Extras.forked_ablation () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   [
     ("ckpt.delta-bytes-dirty-1of16", String.length full, String.length delta);
     ("ckpt.forked-vs-inline-blackout", ms fk.Harness.Extras.plain_s, ms fk.Harness.Extras.forked_s);
@@ -311,7 +155,6 @@ let delta_records () =
 let sched_records () =
   let reference = Chaos.Sched_demo.run ~faults:false () in
   let faulted = Chaos.Sched_demo.run ~faults:true () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let mk_ref = Sched.Scheduler.makespan reference.Chaos.Sched_demo1k.k_sched in
   let mk_f = Sched.Scheduler.makespan faulted.Chaos.Sched_demo1k.k_sched in
   let lost = Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo1k.k_sched in
@@ -330,7 +173,6 @@ let sched_records () =
 let sched1k_records () =
   let concurrent = Chaos.Sched_demo1k.run ~faults:false () in
   let serialized = Chaos.Sched_demo1k.run ~faults:false ~max_inflight:1 () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let peak = Sched.Scheduler.peak_ops_inflight concurrent.Chaos.Sched_demo1k.k_sched in
   let mk_c = Sched.Scheduler.makespan concurrent.Chaos.Sched_demo1k.k_sched in
   let mk_s = Sched.Scheduler.makespan serialized.Chaos.Sched_demo1k.k_sched in
@@ -339,6 +181,28 @@ let sched1k_records () =
     ("sched.ops-inflight", peak, 8);
     ("sched.makespan-1000job", ms mk_s, ms mk_c);
   ]
+
+(* One single-node `p:dirty` run ([pages] materialized, [dirty] rewritten
+   per step, output to [out]): 1.0 simulated second, then checkpoint,
+   kill and restart.  Returns the (checkpoint, restart) durations in
+   simulated seconds. *)
+let dirty_cycle ~options ~pages ~dirty ~out =
+  Chaos.Progs.ensure_registered ();
+  let env = Harness.Common.setup ~nodes:1 ~options () in
+  let rt = env.Harness.Common.rt in
+  ignore
+    (Dmtcp.Api.launch rt ~node:0 ~prog:"p:dirty"
+       ~argv:[ string_of_int pages; string_of_int dirty; "20000"; out ]);
+  Harness.Common.run_for env 1.0;
+  Dmtcp.Api.checkpoint_now rt;
+  let ckpt = Dmtcp.Api.last_checkpoint_seconds rt in
+  let script = Dmtcp.Api.restart_script rt in
+  Dmtcp.Api.kill_computation rt;
+  Dmtcp.Api.restart rt script;
+  Dmtcp.Api.await_restart rt;
+  let rst = Dmtcp.Api.last_restart_seconds rt in
+  Harness.Common.teardown env;
+  (ckpt, rst)
 
 (* Restart fast-path shape: both records are virtual-time deterministic
    (simulated milliseconds), so they join the ratio baseline.
@@ -355,54 +219,13 @@ let sched1k_records () =
      disk) vs two (blocks stripe across the least-loaded surviving
      replica), measuring the modeled fetch delay. *)
 let restart_blackout ?(pages = 4096) ?(dirty = 256) ~lazy_restart () =
-  Chaos.Progs.ensure_registered ();
   let options = { Dmtcp.Options.default with Dmtcp.Options.lazy_restart } in
-  let env = Harness.Common.setup ~nodes:1 ~options () in
-  let rt = env.Harness.Common.rt in
-  ignore
-    (Dmtcp.Api.launch rt ~node:0 ~prog:"p:dirty"
-       ~argv:[ string_of_int pages; string_of_int dirty; "20000"; "/tmp/lz" ]);
-  Harness.Common.run_for env 1.0;
-  Dmtcp.Api.checkpoint_now rt;
-  let script = Dmtcp.Api.restart_script rt in
-  Dmtcp.Api.kill_computation rt;
-  Dmtcp.Api.restart rt script;
-  Dmtcp.Api.await_restart rt;
-  let t = Dmtcp.Api.last_restart_seconds rt in
-  Harness.Common.teardown env;
-  t
+  snd (dirty_cycle ~options ~pages ~dirty ~out:"/tmp/lz")
 
 let striped_fetch_delay ~replicas =
-  let eng = Sim.Engine.create () in
-  let targets =
-    Array.init 4 (fun i ->
-        let t = Storage.Target.local_disk eng () in
-        Storage.Target.set_node t i;
-        t)
-  in
-  let store = Store.create ~replicas ~engine:eng ~targets () in
-  let n = 16 * 256 * 1024 in
-  let body =
-    String.init n (fun i -> Char.chr ((i * 131 + ((i lsr 8) * 17) + ((i lsr 16) * 211)) land 0xff))
-  in
-  let bytes =
-    Dmtcp.Ckpt_image.encode
-      {
-        Dmtcp.Ckpt_image.upid = Dmtcp.Upid.make ~hostid:3 ~pid:51 ~generation:0;
-        vpid = 51;
-        parent_vpid = 0;
-        program = "p:bench";
-        fds = [];
-        ptys = [];
-        algo = Compress.Algo.Null;
-        sizes = { Mtcp.Image.uncompressed = n; compressed = n; zero_bytes = 0 };
-        mtcp_blob = Compress.Container.pack ~algo:Compress.Algo.Null body;
-        delta_base = None;
-      }
-  in
-  ignore
-    (Store.put store ~node:0 ~lineage:"3-51" ~generation:0 ~name:"img-stripe" ~program:"p:bench"
-       ~sim_bytes:(String.length bytes) ~chunks:(Dmtcp.Ckpt_image.chunk bytes));
+  let eng, store = bench_store ~replicas in
+  let bytes = null_image ~hostid:3 ~pid:51 ~generation:0 (Bytes.to_string (pattern ())) in
+  put_image store ~lineage:"3-51" ~generation:0 ~name:"img-stripe" bytes;
   (* let the write bookings drain so the fetch measures read striping,
      not queuing behind its own put *)
   Sim.Engine.run ~until:10.0 eng;
@@ -411,7 +234,6 @@ let striped_fetch_delay ~replicas =
   | None -> failwith "bench: striped image vanished from the store"
 
 let restore_records () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let eager = restart_blackout ~lazy_restart:false () in
   let lzy = restart_blackout ~lazy_restart:true () in
   let single = striped_fetch_delay ~replicas:1 in
@@ -427,25 +249,11 @@ let restore_records () =
    checkpoint+restart blackout must not grow — the record pins the
    dispatch machinery itself at <= 5% overhead. *)
 let plugin_cycle ~plugins () =
-  Chaos.Progs.ensure_registered ();
   let options = { Dmtcp.Options.default with Dmtcp.Options.plugins } in
-  let env = Harness.Common.setup ~nodes:1 ~options () in
-  let rt = env.Harness.Common.rt in
-  ignore
-    (Dmtcp.Api.launch rt ~node:0 ~prog:"p:dirty" ~argv:[ "1024"; "64"; "20000"; "/tmp/po" ]);
-  Harness.Common.run_for env 1.0;
-  Dmtcp.Api.checkpoint_now rt;
-  let ckpt = Dmtcp.Api.last_checkpoint_seconds rt in
-  let script = Dmtcp.Api.restart_script rt in
-  Dmtcp.Api.kill_computation rt;
-  Dmtcp.Api.restart rt script;
-  Dmtcp.Api.await_restart rt;
-  let rst = Dmtcp.Api.last_restart_seconds rt in
-  Harness.Common.teardown env;
+  let ckpt, rst = dirty_cycle ~options ~pages:1024 ~dirty:64 ~out:"/tmp/po" in
   ckpt +. rst
 
 let plugin_records () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let off = plugin_cycle ~plugins:[] () in
   let all = plugin_cycle ~plugins:Dmtcp.Plugins.all_names () in
   [ ("plugin.hook-overhead", ms off, ms all) ]
@@ -514,7 +322,6 @@ let mpi_records () =
    (the tables in EXPERIMENTS.md). Virtual-time deterministic, but kept
    out of the baseline records: it exists to be re-run by hand. *)
 let restore_sweep () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   hr "Restart fast-path sweep (modeled ms, deterministic)";
   Printf.printf "%10s %8s %12s %11s %8s\n" "pages" "MiB" "eager (ms)" "lazy (ms)" "ratio";
   List.iter
@@ -532,46 +339,41 @@ let restore_sweep () =
     [ 1; 2; 3; 4 ];
   flush stdout
 
+let ratio_of bytes_in bytes_out = float_of_int bytes_out /. float_of_int bytes_in
+
 let print_ratios ratios =
-  hr "Compression shape (deterministic: sizes depend only on the encoder)";
+  hr "Ratio records (deterministic: bytes and simulated ms, see EXPERIMENTS.md)";
   List.iter
     (fun (name, bytes_in, bytes_out) ->
       Printf.printf "%-42s %10d -> %9d bytes  (ratio %.6f)\n" name bytes_in bytes_out
-        (float_of_int bytes_out /. float_of_int bytes_in))
+        (ratio_of bytes_in bytes_out))
     ratios;
   flush stdout
 
-(* BENCH_JSON=path: machine-readable results, one object per line so
-   line-oriented tools (the CI baseline diff greps for "kind": "ratio")
-   can filter the deterministic records. *)
-let emit_json path timings ratios =
+(* BENCH_JSON=path: the records as a JSON array, one object per line so
+   line-oriented tools (the CI baseline diff) can compare them. *)
+let emit_json path ratios =
   let oc = open_out path in
   output_string oc "[\n";
-  let lines =
-    List.map
-      (fun (name, bytes_in, bytes_out) ->
-        Printf.sprintf
-          {|{"kind": "ratio", "name": "%s", "bytes_in": %d, "bytes_out": %d, "ratio": %.6f}|}
-          name bytes_in bytes_out
-          (float_of_int bytes_out /. float_of_int bytes_in))
-      ratios
-    @ List.map
-        (fun (name, ns) ->
-          Printf.sprintf {|{"kind": "timing", "name": "%s", "ns_per_run": %.1f}|} name ns)
-        timings
-  in
-  output_string oc (String.concat ",\n" lines);
+  output_string oc
+    (String.concat ",\n"
+       (List.map
+          (fun (name, bytes_in, bytes_out) ->
+            Printf.sprintf
+              {|{"kind": "ratio", "name": "%s", "bytes_in": %d, "bytes_out": %d, "ratio": %.6f}|}
+              name bytes_in bytes_out (ratio_of bytes_in bytes_out))
+          ratios));
   output_string oc "\n]\n";
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-(* BENCH_ASSERT=1: fail (exit 1) if the compressor stops pulling its
-   weight — text must at least halve, incompressible data must not grow
-   by more than 1% (the container's stored-block fallback bounds it). *)
+(* BENCH_ASSERT=1: fail (exit 1) unless every bounded record stays at or
+   under its limit: the compressor pulls its weight, the store and delta
+   images ship only dirty frames, and each fast path keeps its margin. *)
 let assert_invariants ratios =
   let ratio name =
     let _, bytes_in, bytes_out = List.find (fun (n, _, _) -> n = name) ratios in
-    float_of_int bytes_out /. float_of_int bytes_in
+    ratio_of bytes_in bytes_out
   in
   let failed = ref false in
   let check name what limit =
@@ -616,19 +418,13 @@ let assert_invariants ratios =
   if !failed then exit 1
 
 let () =
-  Printf.printf "DMTCP reproduction benchmark harness (scale: %s)\n"
-    (match scale with `Full -> "full" | `Quick -> "quick");
-  let timings = if sections <> `Repro then run_micro () else [] in
   let ratios =
     ratio_records () @ store_records () @ delta_records () @ sched_records ()
     @ sched1k_records () @ restore_records () @ plugin_records () @ mpi_records ()
   in
   print_ratios ratios;
   (match Sys.getenv_opt "BENCH_JSON" with
-  | Some path -> emit_json path timings ratios
+  | Some path -> emit_json path ratios
   | None -> ());
   if Sys.getenv_opt "BENCH_ASSERT" = Some "1" then assert_invariants ratios;
-  if Sys.getenv_opt "BENCH_RESTORE_SWEEP" = Some "1" then restore_sweep ();
-  if sections <> `Micro then run_reproduction ();
-  hr "Done";
-  print_endline "Interpretation notes live in EXPERIMENTS.md."
+  if Sys.getenv_opt "BENCH_RESTORE_SWEEP" = Some "1" then restore_sweep ()

@@ -36,10 +36,11 @@ type t = {
       (** cap on restart's decompress parallelism
           ([DMTCP_RESTART_PARALLEL]); [0] uses all of the node's cores *)
   compact_depth : int;
-      (** background delta-chain compaction ([DMTCP_COMPACT_DEPTH]):
-          chains deeper than this are squashed into consolidated full
-          images at the same catalog name, bounding restart chain depth
-          independently of [delta_chain]; [0] disables the compactor *)
+      (** [DMTCP_COMPACT_DEPTH]: parsed and rendered, but no code acts
+          on it.  Background delta-chain compaction ({!Compactor}) is driven
+          only by [Sched.Scheduler.create ?compact_depth], which defaults
+          to [0] (off).  The key stays because images store the process
+          environment: dropping it would change every image's bytes. *)
   plugins : string list;
       (** enabled plugin set ([DMTCP_PLUGINS], comma-separated plugin
           names; ["none"] or empty disables all plugins).  Cached once
