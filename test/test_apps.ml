@@ -81,18 +81,29 @@ let test_ipython_demo () =
 (* ------------------------------------------------------------------ *)
 (* kernels checkpointed mid-run must still verify *)
 
-let ckpt_case ?(nprocs = 8) ?(rpn = 2) ~prog ~short ?(extra = []) ~warmup () =
+(* [pins]: CRC-32 of each rank image of the checkpoint, in (node, path)
+   order (see {!Pins.image_crcs}) *)
+let ckpt_case ?(nprocs = 8) ?(rpn = 2) ?pins ~prog ~short ?(extra = []) ~warmup () =
   let cl, rt = make ~nodes:((nprocs / rpn) + 1) () in
   launch_ranks rt ~prog ~nprocs ~rpn ~base_port:5300 ~extra;
   run_for cl warmup;
   Dmtcp.Api.checkpoint_now rt;
+  Option.iter
+    (fun pins ->
+      Pins.check_crcs short pins
+        (Pins.image_crcs cl (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images))
+    pins;
   run_for cl 400.;
   check_verified cl ~short ~base_port:5300;
   let info = Dmtcp.Runtime.ckpt_info rt in
   check Alcotest.int "all ranks checkpointed" nprocs (List.length info.Dmtcp.Runtime.images)
 
+let cg_pinned_crcs =
+  [| 1659270050l; -1016542029l; -1005545743l; -215892747l; -74223013l; 1196492284l; -1983320688l;
+     -299867528l |]
+
 let test_cg_with_checkpoint () =
-  ckpt_case ~prog:"nas:cg" ~short:"cg" ~extra:[ "400"; "100" ] ~warmup:1.0 ()
+  ckpt_case ~pins:cg_pinned_crcs ~prog:"nas:cg" ~short:"cg" ~extra:[ "400"; "100" ] ~warmup:1.0 ()
 
 let test_is_with_checkpoint () =
   ckpt_case ~prog:"nas:is" ~short:"is" ~extra:[ "20000"; "200" ] ~warmup:0.5 ()
@@ -107,19 +118,6 @@ let is_pinned_crcs =
      -2114854787l |]
 
 let is_pinned_result = "IS VERIFIED 20082"
-
-(* CRC-32 of an image's two section payloads.  Each section ends in its
-   own CRC-32 trailer, and a CRC run over bytes followed by their CRC
-   always leaves the same register, so a digest of the raw file would see
-   little more than the section lengths. *)
-let image_crc bytes =
-  let module R = Util.Codec.Reader in
-  let r = R.of_string bytes in
-  ignore (R.raw r (String.length "DMTCP_CKPT_V2"));
-  let meta = R.string r in
-  ignore (R.u32 r);
-  let blob = R.string r in
-  Util.Crc32.(finish (update (update init meta 0 (String.length meta)) blob 0 (String.length blob)))
 
 (* (phase, |received|) of the IS state inside a rank image *)
 let is_phase_received (img : Mtcp.Image.t) =
@@ -160,7 +158,7 @@ let test_is_pinned_images () =
         (match is_phase_received img with
         | 2, n when n > 0 -> incr collecting
         | _ -> ());
-        crcs.(rank) <- image_crc bytes)
+        crcs.(rank) <- Pins.image_crc bytes)
     images;
   Alcotest.(check bool) "some ranks mid-collection" true (!collecting > 0 && !collecting < nprocs);
   Array.iteri
@@ -170,8 +168,13 @@ let test_is_pinned_images () =
   check Alcotest.(option string) "result line" (Some is_pinned_result)
     (result cl ~short:"is" ~base_port)
 
+let pargeant4_pinned_crcs =
+  [| 1135844403l; -1661388516l; -1342762122l; 825398478l; -157066241l; -1814109481l; -1633251538l;
+     1047366356l |]
+
 let test_pargeant4_with_checkpoint () =
-  ckpt_case ~prog:"apps:pargeant4" ~short:"pargeant4" ~extra:[ "400"; "50" ] ~warmup:0.5 ()
+  ckpt_case ~pins:pargeant4_pinned_crcs ~prog:"apps:pargeant4" ~short:"pargeant4"
+    ~extra:[ "400"; "50" ] ~warmup:0.5 ()
 
 let test_cg_with_restart () =
   let nprocs = 6 and rpn = 2 in

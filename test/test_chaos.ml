@@ -108,6 +108,26 @@ let test_run_deterministic () =
   Alcotest.(check (list string)) "same verdict" a.Chaos.Runner.r_violations
     b.Chaos.Runner.r_violations
 
+(* Seed 0's mixed workload (counter, stream server and client, pipeline)
+   checkpointed where its torture run takes its one checkpoint, with
+   the CRC-32 of every image pinned: the chaos programs' state codecs
+   must keep their bytes. *)
+let seed0_pinned_crcs = [| 1299567963l; -1105334678l; -233656640l |]
+
+let test_seed0_image_pins () =
+  let sc = Chaos.Scenario.sample ~seed:0 in
+  let env = Harness.Common.setup ~nodes:sc.Chaos.Scenario.sc_nodes ~cores_per_node:2 () in
+  Chaos.Runner.launch_all env sc;
+  Chaos.Runner.wait_settled env sc;
+  Harness.Common.run_for env (List.hd sc.Chaos.Scenario.sc_ckpts);
+  Dmtcp.Api.checkpoint_now env.Harness.Common.rt;
+  let crcs =
+    Pins.image_crcs env.Harness.Common.cl
+      (Dmtcp.Runtime.ckpt_info env.Harness.Common.rt).Dmtcp.Runtime.images
+  in
+  Harness.Common.teardown env;
+  Pins.check_crcs "seed 0" seed0_pinned_crcs crcs
+
 (* ------------------------------------------------------------------ *)
 (* The harness catches known protocol bugs *)
 
@@ -204,6 +224,7 @@ let () =
          [
            Alcotest.test_case "recovery canary (seed 5)" `Quick test_run_exercises_recovery;
            Alcotest.test_case "run deterministic (seed 11)" `Quick test_run_deterministic;
+           Alcotest.test_case "image pins (seed 0)" `Quick test_seed0_image_pins;
            Alcotest.test_case
              (Printf.sprintf "corpus (%d seeds)" seed_count)
              `Quick test_corpus;

@@ -138,13 +138,17 @@ let plain_run ~kind ~prog ~short ~nprocs ~rpn ~extra =
   out
 
 (* same workload, but checkpoint mid-run ([at] seconds after warmup),
-   kill everything hijacked, restart from the images, and run out *)
+   kill everything hijacked, restart from the images, and run out; also
+   returns the CRC-32 of every checkpoint image ({!Pins.image_crcs}) *)
 let cycle_run ~kind ~prog ~short ~nprocs ~rpn ~extra ~at =
   Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
   Common.start_workload env (workload ~kind ~prog ~nprocs ~rpn ~extra);
   Common.run_for env at;
   Dmtcp.Api.checkpoint_now env.Common.rt;
+  let crcs =
+    Pins.image_crcs env.Common.cl (Dmtcp.Runtime.ckpt_info env.Common.rt).Dmtcp.Runtime.images
+  in
   let script = Dmtcp.Api.restart_script env.Common.rt in
   Dmtcp.Api.kill_computation env.Common.rt;
   Dmtcp.Api.restart env.Common.rt script;
@@ -155,7 +159,7 @@ let cycle_run ~kind ~prog ~short ~nprocs ~rpn ~extra ~at =
   let out = result path env in
   let images = Chaos.Proxy_fault.image_stats env script in
   Common.teardown env;
-  (out, images)
+  (out, images, crcs)
 
 (* one straggling phase, 0.6 s long: a checkpoint 0.2 s in lands while
    the straggler computes and every other rank sits inside the
@@ -170,7 +174,7 @@ let test_direct_mid_allreduce_restart () =
     plain_run ~kind:Common.Direct ~prog:Apps.Stencil.bsp_prog ~short:"bsp" ~nprocs:8 ~rpn:2
       ~extra:("direct" :: bsp_extra)
   in
-  let restarted, _ =
+  let restarted, _, _ =
     cycle_run ~kind:Common.Direct ~prog:Apps.Stencil.bsp_prog ~short:"bsp" ~nprocs:8 ~rpn:2
       ~extra:("direct" :: bsp_extra) ~at:0.2
   in
@@ -181,6 +185,12 @@ let test_direct_mid_allreduce_restart () =
   Alcotest.(check bool) "collective completes with the right value after restart" true
     (restarted = reference)
 
+(* the proxied rank images of that checkpoint, pinned: the proxied MPI
+   backend, its collectives and the stencil state keep their bytes *)
+let proxy_pinned_crcs =
+  [| 1312092478l; 935985283l; -1373549886l; -1452780711l; -1194195760l; 2028321622l; 602493245l;
+     -1625392492l |]
+
 (* the same claim on the proxy backend, plus the image-shape payoff:
    rank images carry no live socket and no drained bytes *)
 let test_proxy_mid_allreduce_restart () =
@@ -188,10 +198,11 @@ let test_proxy_mid_allreduce_restart () =
     plain_run ~kind:Common.Proxy ~prog:Apps.Stencil.bsp_prog ~short:"bsp" ~nprocs:8 ~rpn:2
       ~extra:bsp_extra
   in
-  let restarted, (estab, drained) =
+  let restarted, (estab, drained), crcs =
     cycle_run ~kind:Common.Proxy ~prog:Apps.Stencil.bsp_prog ~short:"bsp" ~nprocs:8 ~rpn:2
       ~extra:bsp_extra ~at:0.2
   in
+  Pins.check_crcs "proxied bsp" proxy_pinned_crcs crcs;
   Alcotest.(check bool) "proxy restart reproduces the reference" true (restarted = reference);
   check Alcotest.int "no established sockets in rank images" 0 estab;
   check Alcotest.int "no drained bytes in rank images" 0 drained
