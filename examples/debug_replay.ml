@@ -7,9 +7,6 @@
 
    Run with:  dune exec examples/debug_replay.exe *)
 
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
-
 (* A long job that corrupts its accumulator at a specific iteration — the
    "bug" we want to replay. *)
 module Buggy = struct
@@ -17,14 +14,12 @@ module Buggy = struct
 
   let name = "example:buggy"
 
-  let encode w st =
-    W.uvarint w st.iter;
-    W.varint w st.acc
-
-  let decode r =
-    let iter = R.uvarint r in
-    let acc = R.varint r in
-    { iter; acc }
+  let codec =
+    Util.Codec.(
+      record (fun iter acc -> { iter; acc })
+      |> field uvarint (fun st -> st.iter)
+      |> field varint (fun st -> st.acc)
+      |> seal)
 
   let init ~argv:_ = { iter = 0; acc = 0 }
   let bug_at = 700

@@ -4,27 +4,23 @@
 
    Run with:  dune exec examples/quickstart.exe *)
 
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
-
 (* A user program is a serializable state machine (see Simos.Program).
    This one counts primes below a bound and writes the count to a file.
-   Everything that must survive a checkpoint lives in [state]. *)
+   Everything that must survive a checkpoint lives in [state], and
+   [codec] describes it once, field by field, for both the checkpoint
+   writer and the restart reader. *)
 module Prime_counter = struct
   type state = { n : int; bound : int; found : int }
 
   let name = "example:primes"
 
-  let encode w st =
-    W.uvarint w st.n;
-    W.uvarint w st.bound;
-    W.uvarint w st.found
-
-  let decode r =
-    let n = R.uvarint r in
-    let bound = R.uvarint r in
-    let found = R.uvarint r in
-    { n; bound; found }
+  let codec =
+    Util.Codec.(
+      record (fun n bound found -> { n; bound; found })
+      |> field uvarint (fun st -> st.n)
+      |> field uvarint (fun st -> st.bound)
+      |> field uvarint (fun st -> st.found)
+      |> seal)
 
   let init ~argv =
     match argv with

@@ -12,9 +12,6 @@
 
    Run with:  dune exec examples/safe_mode.exe *)
 
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
-
 let danger_round = 40
 let total_rounds = 80
 
@@ -26,34 +23,18 @@ module Peer = struct
 
   let name = "example:peer"
 
-  let encode w = function
-    | Boot { me; other_host } ->
-      W.u8 w 0;
-      W.uvarint w me;
-      W.uvarint w other_host
-    | Connecting { fd } ->
-      W.u8 w 1;
-      W.varint w fd
-    | Run { fd; round; sent; buf } ->
-      W.u8 w 2;
-      W.varint w fd;
-      W.uvarint w round;
-      W.bool w sent;
-      W.string w buf
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let me = R.uvarint r in
-      let other_host = R.uvarint r in
-      Boot { me; other_host }
-    | 1 -> Connecting { fd = R.varint r }
-    | _ ->
-      let fd = R.varint r in
-      let round = R.uvarint r in
-      let sent = R.bool r in
-      let buf = R.string r in
-      Run { fd; round; sent; buf }
+  let codec =
+    Util.Codec.(
+      variant name (fun boot connecting run w -> function
+        | Boot { me; other_host } -> boot w me other_host
+        | Connecting { fd } -> connecting w fd
+        | Run { fd; round; sent; buf } -> run w fd round sent buf)
+      |> case 0 [ uvarint; uvarint ] (fun me other_host -> Boot { me; other_host })
+      |> case 1 [ varint ] (fun fd -> Connecting { fd })
+      |> case 2
+           [ varint; uvarint; bool; string ]
+           (fun fd round sent buf -> Run { fd; round; sent; buf })
+      |> sealv)
 
   let init ~argv =
     match argv with

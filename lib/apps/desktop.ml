@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let prog_name = "apps:desktop"
 
@@ -94,8 +93,7 @@ module Worker = struct
   type state = bool  (* just computed? *)
 
   let name = "apps:desktop-worker"
-  let encode w b = W.bool w b
-  let decode r = R.bool r
+  let codec = C.bool
   let init ~argv:_ = false
 
   let step (ctx : Simos.Program.ctx) computed =
@@ -112,27 +110,18 @@ module App = struct
 
   let name = prog_name
 
-  let encode w = function
-    | D_boot -> W.u8 w 0
-    | D_forking (pty_fd, rest) ->
-      W.u8 w 1;
-      W.varint w pty_fd;
-      W.list W.string w rest
-    | D_child p ->
-      W.u8 w 2;
-      W.string w p
-    | D_idle { pty_fd } ->
-      W.u8 w 3;
-      W.varint w pty_fd
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> D_boot
-    | 1 ->
-      let pty_fd = R.varint r in
-      D_forking (pty_fd, R.list R.string r)
-    | 2 -> D_child (R.string r)
-    | _ -> D_idle { pty_fd = R.varint r }
+  let codec =
+    C.(
+      variant name (fun boot forking child idle w -> function
+        | D_boot -> boot w
+        | D_forking (pty_fd, rest) -> forking w pty_fd rest
+        | D_child p -> child w p
+        | D_idle { pty_fd } -> idle w pty_fd)
+      |> case 0 [] D_boot
+      |> case 1 [ varint; list string ] (fun pty_fd rest -> D_forking (pty_fd, rest))
+      |> case 2 [ string ] (fun p -> D_child p)
+      |> case 3 [ varint ] (fun pty_fd -> D_idle { pty_fd })
+      |> sealv)
 
   let init ~argv:_ = D_boot
 

@@ -31,6 +31,8 @@ module K = struct
     let received = R.uvarint r in
     { read_interval; sent; received }
 
+  let codec_k = Util.Codec.v encode_k decode_k
+
   let chunk = String.make 8192 '\x5a'
 
   let kstep ctx comm k =

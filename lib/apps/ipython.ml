@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let shell_name = "apps:ipython-shell"
 let demo_name = "apps:ipython-demo"
@@ -14,16 +13,12 @@ module Shell = struct
 
   let name = shell_name
 
-  let encode w = function
-    | S_boot -> W.u8 w 0
-    | S_idle fd ->
-      W.u8 w 1;
-      W.varint w fd
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> S_boot
-    | _ -> S_idle (R.varint r)
+  let codec =
+    C.(
+      variant name (fun boot idle w -> function S_boot -> boot w | S_idle fd -> idle w fd)
+      |> case 0 [] S_boot
+      |> case 1 [ varint ] (fun fd -> S_idle fd)
+      |> sealv)
 
   let init ~argv:_ = S_boot
 
@@ -67,26 +62,16 @@ module Demo_kernel = struct
     let ntasks = match extra with s :: _ -> int_of_string s | [] -> 400 in
     if rank = 0 then Controller { ntasks; next = 0; got = 0; acc = 0.; idle = [] } else Engine
 
-  let encode_k w = function
-    | Controller { ntasks; next; got; acc; idle } ->
-      W.u8 w 0;
-      W.uvarint w ntasks;
-      W.uvarint w next;
-      W.uvarint w got;
-      W.f64 w acc;
-      W.list W.uvarint w idle
-    | Engine -> W.u8 w 1
-
-  let decode_k r =
-    match R.u8 r with
-    | 0 ->
-      let ntasks = R.uvarint r in
-      let next = R.uvarint r in
-      let got = R.uvarint r in
-      let acc = R.f64 r in
-      let idle = R.list R.uvarint r in
-      Controller { ntasks; next; got; acc; idle }
-    | _ -> Engine
+  let codec_k =
+    C.(
+      variant (prog_name ^ " kernel") (fun controller engine w -> function
+        | Controller { ntasks; next; got; acc; idle } -> controller w ntasks next got acc idle
+        | Engine -> engine w)
+      |> case 0
+           [ uvarint; uvarint; uvarint; f64; list uvarint ]
+           (fun ntasks next got acc idle -> Controller { ntasks; next; got; acc; idle })
+      |> case 1 [] Engine
+      |> sealv)
 
   let kstep ctx comm k =
     let size = Mpi.size comm in

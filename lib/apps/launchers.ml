@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let parse_rank_args = function
   | rank :: size :: base_port :: rpn :: nhost :: nport :: extra ->
@@ -40,18 +39,14 @@ let notify_step (ctx : Simos.Program.ctx) n =
       (* mpirun already gone; that is fine *)
       `Done
 
-let encode_notify w n =
-  W.uvarint w n.n_host;
-  W.uvarint w n.n_port;
-  W.varint w n.n_fd;
-  W.bool w n.n_sent
-
-let decode_notify r =
-  let n_host = R.uvarint r in
-  let n_port = R.uvarint r in
-  let n_fd = R.varint r in
-  let n_sent = R.bool r in
-  { n_host; n_port; n_fd; n_sent }
+let notify_codec =
+  C.(
+    record (fun n_host n_port n_fd n_sent -> { n_host; n_port; n_fd; n_sent })
+    |> field uvarint (fun n -> n.n_host)
+    |> field uvarint (fun n -> n.n_port)
+    |> field varint (fun n -> n.n_fd)
+    |> field bool (fun n -> n.n_sent)
+    |> seal)
 
 (* ------------------------------------------------------------------ *)
 (* mpd: one daemon per node, in a ring *)
@@ -65,36 +60,16 @@ module Mpd = struct
 
   let name = "mpi:mpd"
 
-  let encode w = function
-    | Boot { idx; n; port } ->
-      W.u8 w 0;
-      W.uvarint w idx;
-      W.uvarint w n;
-      W.uvarint w port
-    | Ring { idx; n; port; lfd; next_fd; peer_fds } ->
-      W.u8 w 1;
-      W.uvarint w idx;
-      W.uvarint w n;
-      W.uvarint w port;
-      W.varint w lfd;
-      W.varint w next_fd;
-      W.list W.varint w peer_fds
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let idx = R.uvarint r in
-      let n = R.uvarint r in
-      let port = R.uvarint r in
-      Boot { idx; n; port }
-    | _ ->
-      let idx = R.uvarint r in
-      let n = R.uvarint r in
-      let port = R.uvarint r in
-      let lfd = R.varint r in
-      let next_fd = R.varint r in
-      let peer_fds = R.list R.varint r in
-      Ring { idx; n; port; lfd; next_fd; peer_fds }
+  let codec =
+    C.(
+      variant name (fun boot ring w -> function
+        | Boot { idx; n; port } -> boot w idx n port
+        | Ring { idx; n; port; lfd; next_fd; peer_fds } -> ring w idx n port lfd next_fd peer_fds)
+      |> case 0 [ uvarint; uvarint; uvarint ] (fun idx n port -> Boot { idx; n; port })
+      |> case 1
+           [ uvarint; uvarint; uvarint; varint; varint; list varint ]
+           (fun idx n port lfd next_fd peer_fds -> Ring { idx; n; port; lfd; next_fd; peer_fds })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -156,8 +131,7 @@ module Mpdboot = struct
   type state = unit
 
   let name = "mpi:mpdboot"
-  let encode _ () = ()
-  let decode _ = ()
+  let codec = C.(record () |> seal)
   let init ~argv:_ = ()
 
   let step (ctx : Simos.Program.ctx) () =
@@ -185,22 +159,14 @@ module Orted = struct
 
   let name = "mpi:orted"
 
-  let encode w = function
-    | Boot { host; port } ->
-      W.u8 w 0;
-      W.uvarint w host;
-      W.uvarint w port
-    | Idle { fd } ->
-      W.u8 w 1;
-      W.varint w fd
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let host = R.uvarint r in
-      let port = R.uvarint r in
-      Boot { host; port }
-    | _ -> Idle { fd = R.varint r }
+  let codec =
+    C.(
+      variant name (fun boot idle w -> function
+        | Boot { host; port } -> boot w host port
+        | Idle { fd } -> idle w fd)
+      |> case 0 [ uvarint; uvarint ] (fun host port -> Boot { host; port })
+      |> case 1 [ varint ] (fun fd -> Idle { fd })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -235,42 +201,20 @@ module Mpirun = struct
   let name = "mpi:mpirun"
 
   (* mpirun is checkpointed but its state is simple and serializable *)
-  let encode w = function
-    | Boot -> W.u8 w 0
-    | Wait_orted { lfd; fds; want } ->
-      W.u8 w 1;
-      W.varint w lfd;
-      W.list W.varint w fds;
-      W.uvarint w want
-    | Spawn { lfd; daemon_fds } ->
-      W.u8 w 2;
-      W.varint w lfd;
-      W.list W.varint w daemon_fds
-    | Await { lfd; daemon_fds; done_fds; finished } ->
-      W.u8 w 3;
-      W.varint w lfd;
-      W.list W.varint w daemon_fds;
-      W.list (W.pair W.varint W.string) w done_fds;
-      W.uvarint w finished
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> Boot
-    | 1 ->
-      let lfd = R.varint r in
-      let fds = R.list R.varint r in
-      let want = R.uvarint r in
-      Wait_orted { lfd; fds; want }
-    | 2 ->
-      let lfd = R.varint r in
-      let daemon_fds = R.list R.varint r in
-      Spawn { lfd; daemon_fds }
-    | _ ->
-      let lfd = R.varint r in
-      let daemon_fds = R.list R.varint r in
-      let done_fds = R.list (R.pair R.varint R.string) r in
-      let finished = R.uvarint r in
-      Await { lfd; daemon_fds; done_fds; finished }
+  let codec =
+    C.(
+      variant name (fun boot wait_orted spawn await w -> function
+        | Boot -> boot w
+        | Wait_orted { lfd; fds; want } -> wait_orted w lfd fds want
+        | Spawn { lfd; daemon_fds } -> spawn w lfd daemon_fds
+        | Await { lfd; daemon_fds; done_fds; finished } -> await w lfd daemon_fds done_fds finished)
+      |> case 0 [] Boot
+      |> case 1 [ varint; list varint; uvarint ] (fun lfd fds want -> Wait_orted { lfd; fds; want })
+      |> case 2 [ varint; list varint ] (fun lfd daemon_fds -> Spawn { lfd; daemon_fds })
+      |> case 3
+           [ varint; list varint; list (pair varint string); uvarint ]
+           (fun lfd daemon_fds done_fds finished -> Await { lfd; daemon_fds; done_fds; finished })
+      |> sealv)
 
   let init ~argv:_ = Boot
 

@@ -31,5 +31,4 @@ type notify
 
 val notify_start : host:int -> port:int -> notify
 val notify_step : Simos.Program.ctx -> notify -> [ `Done | `Pending ]
-val encode_notify : Util.Codec.Writer.t -> notify -> unit
-val decode_notify : Util.Codec.Reader.t -> notify
+val notify_codec : notify Util.Codec.t

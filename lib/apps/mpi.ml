@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 type transport = Direct | Proxied
 
@@ -546,133 +545,72 @@ module Coll = struct
       else `Pending
     end
 
-  let encode w st =
-    W.uvarint w st.kind;
-    W.f64 w st.value;
-    W.uvarint w st.phase;
-    W.uvarint w st.got;
-    W.list (W.pair W.uvarint W.f64) w st.pairs
-
-  let decode r =
-    let kind = R.uvarint r in
-    let value = R.f64 r in
-    let phase = R.uvarint r in
-    let got = R.uvarint r in
-    let pairs = R.list (R.pair R.uvarint R.f64) r in
-    { kind; value; phase; got; pairs }
+  let codec =
+    C.(
+      record (fun kind value phase got pairs -> { kind; value; phase; got; pairs })
+      |> field uvarint (fun st -> st.kind)
+      |> field f64 (fun st -> st.value)
+      |> field uvarint (fun st -> st.phase)
+      |> field uvarint (fun st -> st.got)
+      |> field (list (pair uvarint f64)) (fun st -> st.pairs)
+      |> seal)
 end
 
 (* ------------------------------------------------------------------ *)
 
-let encode_backend w = function
-  | B_direct d ->
-    W.u8 w 0;
-    W.varint w d.listen_fd;
-    W.array W.varint w d.peer_fd;
-    W.list (W.pair W.uvarint W.varint) w d.pending_conn;
-    W.list (W.pair W.varint W.string) w d.pending_accept;
-    W.array W.string w d.out_bufs;
-    W.array W.string w d.in_bufs
-  | B_proxied p ->
-    W.u8 w 1;
-    W.varint w p.pfd;
-    W.bool w p.ready;
-    W.bool w p.hello_sent;
-    W.string w p.pout;
-    W.string w p.pin;
+let direct_codec =
+  C.(
+    record (fun listen_fd peer_fd pending_conn pending_accept out_bufs in_bufs ->
+        { listen_fd; peer_fd; pending_conn; pending_accept; out_bufs; in_bufs })
+    |> field varint (fun d -> d.listen_fd)
+    |> field (array varint) (fun d -> d.peer_fd)
+    |> field (list (pair uvarint varint)) (fun d -> d.pending_conn)
+    |> field (list (pair varint string)) (fun d -> d.pending_accept)
+    |> field (array string) (fun d -> d.out_bufs)
+    |> field (array string) (fun d -> d.in_bufs)
+    |> seal)
+
+let proxied_codec =
+  C.(
+    record
+      (fun pfd ready hello_sent pout pin epoch send_seq recv_seq unacked sent_bytes
+           delivered_bytes ->
+        { pfd; ready; hello_sent; pout; pin; epoch; last_resend = 0.; send_seq; recv_seq;
+          unacked; sent_bytes; delivered_bytes })
+    |> field varint (fun p -> p.pfd)
+    |> field bool (fun p -> p.ready)
+    |> field bool (fun p -> p.hello_sent)
+    |> field string (fun p -> p.pout)
+    |> field string (fun p -> p.pin)
     (* the image restores into the next connection generation: proxies
        outlive the computation, and anything they still carry from this
        epoch must not be mistaken for post-restore traffic *)
-    W.uvarint w (p.epoch + 1);
-    W.array W.uvarint w p.send_seq;
-    W.array W.uvarint w p.recv_seq;
-    W.array
-      (W.list (fun w (seq, tag, payload) ->
-           W.uvarint w seq;
-           W.u8 w (Char.code tag);
-           W.string w payload))
-      w p.unacked;
-    W.array W.uvarint w p.sent_bytes;
-    W.array W.uvarint w p.delivered_bytes
+    |> field uvarint (fun p -> p.epoch + 1)
+    |> field (array uvarint) (fun p -> p.send_seq)
+    |> field (array uvarint) (fun p -> p.recv_seq)
+    |> field (array (list (triple uvarint char string))) (fun p -> p.unacked)
+    |> field (array uvarint) (fun p -> p.sent_bytes)
+    |> field (array uvarint) (fun p -> p.delivered_bytes)
+    |> seal)
 
-let decode_backend r =
-  match R.u8 r with
-  | 0 ->
-    let listen_fd = R.varint r in
-    let peer_fd = R.array R.varint r in
-    let pending_conn = R.list (R.pair R.uvarint R.varint) r in
-    let pending_accept = R.list (R.pair R.varint R.string) r in
-    let out_bufs = R.array R.string r in
-    let in_bufs = R.array R.string r in
-    B_direct { listen_fd; peer_fd; pending_conn; pending_accept; out_bufs; in_bufs }
-  | _ ->
-    let pfd = R.varint r in
-    let ready = R.bool r in
-    let hello_sent = R.bool r in
-    let pout = R.string r in
-    let pin = R.string r in
-    let epoch = R.uvarint r in
-    let send_seq = R.array R.uvarint r in
-    let recv_seq = R.array R.uvarint r in
-    let unacked =
-      R.array
-        (R.list (fun r ->
-             let seq = R.uvarint r in
-             let tag = Char.chr (R.u8 r) in
-             let payload = R.string r in
-             (seq, tag, payload)))
-        r
-    in
-    let sent_bytes = R.array R.uvarint r in
-    let delivered_bytes = R.array R.uvarint r in
-    B_proxied
-      {
-        pfd;
-        ready;
-        hello_sent;
-        pout;
-        pin;
-        epoch;
-        last_resend = 0.;
-        send_seq;
-        recv_seq;
-        unacked;
-        sent_bytes;
-        delivered_bytes;
-      }
+let backend_codec =
+  C.(
+    variant "mpi backend" (fun direct proxied w -> function
+      | B_direct d -> direct w d
+      | B_proxied p -> proxied w p)
+    |> case 0 [ direct_codec ] (fun d -> B_direct d)
+    |> case 1 [ proxied_codec ] (fun p -> B_proxied p)
+    |> sealv)
 
-let encode w t =
-  W.uvarint w t.rank;
-  W.uvarint w t.size;
-  W.uvarint w t.base_port;
-  W.uvarint w t.ranks_per_node;
-  W.list W.uvarint w t.neighbors;
-  encode_backend w t.backend;
-  W.array
-    (fun w msgs ->
-      W.list
-        (fun w (tag, payload) ->
-          W.u8 w (Char.code tag);
-          W.string w payload)
-        w msgs)
-    w t.inbox
-
-let decode r =
-  let rank = R.uvarint r in
-  let size = R.uvarint r in
-  let base_port = R.uvarint r in
-  let ranks_per_node = R.uvarint r in
-  let neighbors = R.list R.uvarint r in
-  let backend = decode_backend r in
-  let inbox =
-    R.array
-      (fun r ->
-        R.list
-          (fun r ->
-            let tag = Char.chr (R.u8 r) in
-            let payload = R.string r in
-            (tag, payload))
-          r)
-      r
-  in
-  { rank; size; base_port; ranks_per_node; neighbors; backend; inbox }
+let codec =
+  C.(
+    record (fun rank size base_port ranks_per_node neighbors backend inbox ->
+        { rank; size; base_port; ranks_per_node; neighbors; backend; inbox })
+    |> field uvarint (fun t -> t.rank)
+    |> field uvarint (fun t -> t.size)
+    |> field uvarint (fun t -> t.base_port)
+    |> field uvarint (fun t -> t.ranks_per_node)
+    |> field (list uvarint) (fun t -> t.neighbors)
+    |> field backend_codec (fun t -> t.backend)
+    |> field (array (list (pair char string))) (fun t -> t.inbox)
+    |> seal)

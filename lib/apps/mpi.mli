@@ -120,9 +120,7 @@ module Coll : sig
   val start : op -> st
   val step : Simos.Program.ctx -> t -> st -> [ `Done of float | `Pending ]
 
-  val encode : Util.Codec.Writer.t -> st -> unit
-  val decode : Util.Codec.Reader.t -> st
+  val codec : st Util.Codec.t
 end
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

@@ -1,13 +1,6 @@
+module C = Util.Codec
 module W = Util.Codec.Writer
 module R = Util.Codec.Reader
-
-let encode_floats w a =
-  W.uvarint w (Array.length a);
-  Array.iter (W.f64 w) a
-
-let decode_floats r =
-  let n = R.uvarint r in
-  Array.init n (fun _ -> R.f64 r)
 
 (* simulated CPU seconds per floating-point operation *)
 let flop_cost = 2e-9
@@ -27,8 +20,7 @@ module type KERNEL = sig
   val mem_mix : Workload_mem.mix
   val neighbors : rank:int -> size:int -> int list
   val kinit : rank:int -> size:int -> extra:string list -> kstate
-  val encode_k : W.t -> kstate -> unit
-  val decode_k : R.t -> kstate
+  val codec_k : kstate C.t
   val kstep : Simos.Program.ctx -> Mpi.t -> kstate -> kstate kout
 end
 
@@ -41,36 +33,18 @@ module Make (K : KERNEL) : Simos.Program.S = struct
 
   let name = K.prog_name
 
-  let encode w = function
-    | F_boot -> W.u8 w 0
-    | F_init (comm, k) ->
-      W.u8 w 1;
-      Mpi.encode w comm;
-      K.encode_k w k
-    | F_run (comm, k) ->
-      W.u8 w 2;
-      Mpi.encode w comm;
-      K.encode_k w k
-    | F_notify (n, ok) ->
-      W.u8 w 3;
-      Launchers.encode_notify w n;
-      W.bool w ok
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> F_boot
-    | 1 ->
-      let comm = Mpi.decode r in
-      let k = K.decode_k r in
-      F_init (comm, k)
-    | 2 ->
-      let comm = Mpi.decode r in
-      let k = K.decode_k r in
-      F_run (comm, k)
-    | _ ->
-      let n = Launchers.decode_notify r in
-      let ok = R.bool r in
-      F_notify (n, ok)
+  let codec =
+    C.(
+      variant name (fun boot init run notify w -> function
+        | F_boot -> boot w
+        | F_init (comm, k) -> init w comm k
+        | F_run (comm, k) -> run w comm k
+        | F_notify (n, ok) -> notify w n ok)
+      |> case 0 [] F_boot
+      |> case 1 [ Mpi.codec; K.codec_k ] (fun comm k -> F_init (comm, k))
+      |> case 2 [ Mpi.codec; K.codec_k ] (fun comm k -> F_run (comm, k))
+      |> case 3 [ Launchers.notify_codec; bool ] (fun n ok -> F_notify (n, ok))
+      |> sealv)
 
   let init ~argv:_ = F_boot
 
@@ -149,16 +123,13 @@ module Baseline = struct
     let rounds = match extra with s :: _ -> int_of_string s | [] -> 1 in
     { rounds; round = 0; coll = None }
 
-  let encode_k w k =
-    W.uvarint w k.rounds;
-    W.uvarint w k.round;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let rounds = R.uvarint r in
-    let round = R.uvarint r in
-    let coll = R.option Mpi.Coll.decode r in
-    { rounds; round; coll }
+  let codec_k =
+    C.(
+      record (fun rounds round coll -> { rounds; round; coll })
+      |> field uvarint (fun k -> k.rounds)
+      |> field uvarint (fun k -> k.round)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let kstep ctx comm k =
     match k.coll with
@@ -202,22 +173,17 @@ module Ep = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.samples;
-    W.uvarint w k.chunk;
-    W.uvarint w k.done_;
-    W.uvarint w k.hits;
-    W.i64 w k.rng_state;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let samples = R.uvarint r in
-    let chunk = R.uvarint r in
-    let done_ = R.uvarint r in
-    let hits = R.uvarint r in
-    let rng_state = R.i64 r in
-    let coll = R.option Mpi.Coll.decode r in
-    { samples; chunk; done_; hits; rng_state; coll }
+  let codec_k =
+    C.(
+      record (fun samples chunk done_ hits rng_state coll ->
+          { samples; chunk; done_; hits; rng_state; coll })
+      |> field uvarint (fun k -> k.samples)
+      |> field uvarint (fun k -> k.chunk)
+      |> field uvarint (fun k -> k.done_)
+      |> field uvarint (fun k -> k.hits)
+      |> field i64 (fun k -> k.rng_state)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let kstep ctx comm k =
     match k.coll with
@@ -303,14 +269,12 @@ module Is_keys = struct
       done
     end
 
-  (* each key as an f64: the image format stores IS keys that way *)
-  let encode w a =
-    W.uvarint w (Array.length a);
-    Array.iter (fun key -> W.f64 w (float_of_int key)) a
-
-  let decode r =
-    let n = R.uvarint r in
-    Array.init n (fun _ -> int_of_float (R.f64 r))
+  (* each key as an f64: the image format stores IS keys that way.  A
+     direct loop: a generic [map] per key costs a boxed float each way *)
+  let codec =
+    C.v
+      (W.array (fun w key -> W.f64 w (float_of_int key)))
+      (R.array (fun r -> int_of_float (R.f64 r)))
 end
 
 module Is = struct
@@ -353,30 +317,21 @@ module Is = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.nkeys;
-    W.uvarint w k.key_range;
-    W.uvarint w k.rounds;
-    W.uvarint w k.round;
-    W.uvarint w k.phase;
-    Is_keys.encode w k.keys;
-    Is_keys.encode w k.received;
-    W.uvarint w k.got_from;
-    W.bool w k.ok;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let nkeys = R.uvarint r in
-    let key_range = R.uvarint r in
-    let rounds = R.uvarint r in
-    let round = R.uvarint r in
-    let phase = R.uvarint r in
-    let keys = Is_keys.decode r in
-    let received = Is_keys.decode r in
-    let got_from = R.uvarint r in
-    let ok = R.bool r in
-    let coll = R.option Mpi.Coll.decode r in
-    { nkeys; key_range; rounds; round; phase; keys; received; got_from; ok; coll }
+  let codec_k =
+    C.(
+      record (fun nkeys key_range rounds round phase keys received got_from ok coll ->
+          { nkeys; key_range; rounds; round; phase; keys; received; got_from; ok; coll })
+      |> field uvarint (fun k -> k.nkeys)
+      |> field uvarint (fun k -> k.key_range)
+      |> field uvarint (fun k -> k.rounds)
+      |> field uvarint (fun k -> k.round)
+      |> field uvarint (fun k -> k.phase)
+      |> field Is_keys.codec (fun k -> k.keys)
+      |> field Is_keys.codec (fun k -> k.received)
+      |> field uvarint (fun k -> k.got_from)
+      |> field bool (fun k -> k.ok)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let pack_keys keys =
     let w = W.create ~capacity:(Array.length keys * 3) () in
@@ -535,43 +490,29 @@ module Cg = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.n_local;
-    W.uvarint w k.max_iter;
-    W.uvarint w k.repeats;
-    W.uvarint w k.iter;
-    W.uvarint w k.phase;
-    encode_floats w k.x;
-    encode_floats w k.rvec;
-    encode_floats w k.p;
-    encode_floats w k.ap;
-    W.f64 w k.rr_old;
-    W.f64 w k.halo_lo;
-    W.f64 w k.halo_hi;
-    W.bool w k.got_lo;
-    W.bool w k.got_hi;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let n_local = R.uvarint r in
-    let max_iter = R.uvarint r in
-    let repeats = R.uvarint r in
-    let iter = R.uvarint r in
-    let phase = R.uvarint r in
-    let x = decode_floats r in
-    let rvec = decode_floats r in
-    let p = decode_floats r in
-    let ap = decode_floats r in
-    let rr_old = R.f64 r in
-    let halo_lo = R.f64 r in
-    let halo_hi = R.f64 r in
-    let got_lo = R.bool r in
-    let got_hi = R.bool r in
-    let coll = R.option Mpi.Coll.decode r in
-    {
-      n_local; max_iter; repeats; iter; phase; x; rvec; p; ap; rr_old; halo_lo; halo_hi; got_lo;
-      got_hi; coll;
-    }
+  let codec_k =
+    C.(
+      record
+        (fun n_local max_iter repeats iter phase x rvec p ap rr_old halo_lo halo_hi got_lo got_hi
+             coll ->
+          { n_local; max_iter; repeats; iter; phase; x; rvec; p;
+            ap; rr_old; halo_lo; halo_hi; got_lo; got_hi; coll })
+      |> field uvarint (fun k -> k.n_local)
+      |> field uvarint (fun k -> k.max_iter)
+      |> field uvarint (fun k -> k.repeats)
+      |> field uvarint (fun k -> k.iter)
+      |> field uvarint (fun k -> k.phase)
+      |> field (array f64) (fun k -> k.x)
+      |> field (array f64) (fun k -> k.rvec)
+      |> field (array f64) (fun k -> k.p)
+      |> field (array f64) (fun k -> k.ap)
+      |> field f64 (fun k -> k.rr_old)
+      |> field f64 (fun k -> k.halo_lo)
+      |> field f64 (fun k -> k.halo_hi)
+      |> field bool (fun k -> k.got_lo)
+      |> field bool (fun k -> k.got_hi)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let dot a b =
     let s = ref 0. in
@@ -764,43 +705,29 @@ module Mg = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.n_local;
-    W.uvarint w k.cycles;
-    W.uvarint w k.cycle;
-    W.uvarint w k.smooth_left;
-    W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
-    W.f64 w k.halo_lo;
-    W.f64 w k.halo_hi;
-    W.bool w k.got_lo;
-    W.bool w k.got_hi;
-    W.f64 w k.r0;
-    encode_floats w k.coarse;
-    W.uvarint w k.coarse_got;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let n_local = R.uvarint r in
-    let cycles = R.uvarint r in
-    let cycle = R.uvarint r in
-    let smooth_left = R.uvarint r in
-    let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
-    let halo_lo = R.f64 r in
-    let halo_hi = R.f64 r in
-    let got_lo = R.bool r in
-    let got_hi = R.bool r in
-    let r0 = R.f64 r in
-    let coarse = decode_floats r in
-    let coarse_got = R.uvarint r in
-    let coll = R.option Mpi.Coll.decode r in
-    {
-      n_local; cycles; cycle; smooth_left; phase; u; f; halo_lo; halo_hi; got_lo; got_hi; r0;
-      coarse; coarse_got; coll;
-    }
+  let codec_k =
+    C.(
+      record
+        (fun n_local cycles cycle smooth_left phase u f halo_lo halo_hi got_lo got_hi r0 coarse
+             coarse_got coll ->
+          { n_local; cycles; cycle; smooth_left; phase; u; f; halo_lo;
+            halo_hi; got_lo; got_hi; r0; coarse; coarse_got; coll })
+      |> field uvarint (fun k -> k.n_local)
+      |> field uvarint (fun k -> k.cycles)
+      |> field uvarint (fun k -> k.cycle)
+      |> field uvarint (fun k -> k.smooth_left)
+      |> field uvarint (fun k -> k.phase)
+      |> field (array f64) (fun k -> k.u)
+      |> field (array f64) (fun k -> k.f)
+      |> field f64 (fun k -> k.halo_lo)
+      |> field f64 (fun k -> k.halo_hi)
+      |> field bool (fun k -> k.got_lo)
+      |> field bool (fun k -> k.got_hi)
+      |> field f64 (fun k -> k.r0)
+      |> field (array f64) (fun k -> k.coarse)
+      |> field uvarint (fun k -> k.coarse_got)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   (* residual r = f - A u, A = tridiag(-1, 2, -1) (h = 1) *)
   let residual k ~rank ~size i =
@@ -996,30 +923,21 @@ module Lu = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.n_local;
-    W.uvarint w k.iters;
-    W.uvarint w k.iter;
-    W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
-    W.f64 w k.halo_lo;
-    W.f64 w k.halo_hi;
-    W.f64 w k.r0;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let n_local = R.uvarint r in
-    let iters = R.uvarint r in
-    let iter = R.uvarint r in
-    let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
-    let halo_lo = R.f64 r in
-    let halo_hi = R.f64 r in
-    let r0 = R.f64 r in
-    let coll = R.option Mpi.Coll.decode r in
-    { n_local; iters; iter; phase; u; f; halo_lo; halo_hi; r0; coll }
+  let codec_k =
+    C.(
+      record (fun n_local iters iter phase u f halo_lo halo_hi r0 coll ->
+          { n_local; iters; iter; phase; u; f; halo_lo; halo_hi; r0; coll })
+      |> field uvarint (fun k -> k.n_local)
+      |> field uvarint (fun k -> k.iters)
+      |> field uvarint (fun k -> k.iter)
+      |> field uvarint (fun k -> k.phase)
+      |> field (array f64) (fun k -> k.u)
+      |> field (array f64) (fun k -> k.f)
+      |> field f64 (fun k -> k.halo_lo)
+      |> field f64 (fun k -> k.halo_hi)
+      |> field f64 (fun k -> k.r0)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   (* residual of the coupled operator, using the boundary values the
      sweeps actually used *)
@@ -1163,34 +1081,23 @@ module Adi (S : LINE_SOLVER) = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.n_local;
-    W.uvarint w k.iters;
-    W.uvarint w k.iter;
-    W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
-    W.f64 w k.halo_lo;
-    W.f64 w k.halo_hi;
-    W.bool w k.got_lo;
-    W.bool w k.got_hi;
-    W.f64 w k.r0;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let n_local = R.uvarint r in
-    let iters = R.uvarint r in
-    let iter = R.uvarint r in
-    let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
-    let halo_lo = R.f64 r in
-    let halo_hi = R.f64 r in
-    let got_lo = R.bool r in
-    let got_hi = R.bool r in
-    let r0 = R.f64 r in
-    let coll = R.option Mpi.Coll.decode r in
-    { n_local; iters; iter; phase; u; f; halo_lo; halo_hi; got_lo; got_hi; r0; coll }
+  let codec_k =
+    C.(
+      record (fun n_local iters iter phase u f halo_lo halo_hi got_lo got_hi r0 coll ->
+          { n_local; iters; iter; phase; u; f; halo_lo; halo_hi; got_lo; got_hi; r0; coll })
+      |> field uvarint (fun k -> k.n_local)
+      |> field uvarint (fun k -> k.iters)
+      |> field uvarint (fun k -> k.iter)
+      |> field uvarint (fun k -> k.phase)
+      |> field (array f64) (fun k -> k.u)
+      |> field (array f64) (fun k -> k.f)
+      |> field f64 (fun k -> k.halo_lo)
+      |> field f64 (fun k -> k.halo_hi)
+      |> field bool (fun k -> k.got_lo)
+      |> field bool (fun k -> k.got_hi)
+      |> field f64 (fun k -> k.r0)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let kstep ctx comm k =
     let rank = Mpi.rank comm and size = Mpi.size comm in

@@ -46,8 +46,7 @@ module type KERNEL = sig
   val mem_mix : Workload_mem.mix
   val neighbors : rank:int -> size:int -> int list
   val kinit : rank:int -> size:int -> extra:string list -> kstate
-  val encode_k : Util.Codec.Writer.t -> kstate -> unit
-  val decode_k : Util.Codec.Reader.t -> kstate
+  val codec_k : kstate Util.Codec.t
   val kstep : Simos.Program.ctx -> Mpi.t -> kstate -> kstate kout
 end
 
@@ -69,9 +68,7 @@ module Is_keys : sig
   val sort : int array -> unit
 
   (** Length, then every key as an [f64]. *)
-  val encode : Util.Codec.Writer.t -> int array -> unit
-
-  val decode : Util.Codec.Reader.t -> int array
+  val codec : int array Util.Codec.t
 end
 
 (** (program name, per-rank uncompressed memory bytes) for each kernel,

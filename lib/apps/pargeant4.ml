@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let prog_name = "apps:pargeant4"
 let mem_bytes = 30_000_000
@@ -44,36 +43,18 @@ module K = struct
       Master { nevents; repeats; next = 0; returned = 0; acc = 0.; idle = []; outstanding = 0 }
     else Worker { current = None; quit = false }
 
-  let encode_k w = function
-    | Master { nevents; repeats; next; returned; acc; idle; outstanding } ->
-      W.u8 w 0;
-      W.uvarint w nevents;
-      W.uvarint w repeats;
-      W.uvarint w next;
-      W.uvarint w returned;
-      W.f64 w acc;
-      W.list W.uvarint w idle;
-      W.uvarint w outstanding
-    | Worker { current; quit } ->
-      W.u8 w 1;
-      W.option W.uvarint w current;
-      W.bool w quit
-
-  let decode_k r =
-    match R.u8 r with
-    | 0 ->
-      let nevents = R.uvarint r in
-      let repeats = R.uvarint r in
-      let next = R.uvarint r in
-      let returned = R.uvarint r in
-      let acc = R.f64 r in
-      let idle = R.list R.uvarint r in
-      let outstanding = R.uvarint r in
-      Master { nevents; repeats; next; returned; acc; idle; outstanding }
-    | _ ->
-      let current = R.option R.uvarint r in
-      let quit = R.bool r in
-      Worker { current; quit }
+  let codec_k =
+    C.(
+      variant (prog_name ^ " kernel") (fun master worker w -> function
+        | Master { nevents; repeats; next; returned; acc; idle; outstanding } ->
+          master w nevents repeats next returned acc idle outstanding
+        | Worker { current; quit } -> worker w current quit)
+      |> case 0
+           [ uvarint; uvarint; uvarint; uvarint; f64; list uvarint; uvarint ]
+           (fun nevents repeats next returned acc idle outstanding ->
+             Master { nevents; repeats; next; returned; acc; idle; outstanding })
+      |> case 1 [ option uvarint; bool ] (fun current quit -> Worker { current; quit })
+      |> sealv)
 
   let kstep ctx comm k =
     let size = Mpi.size comm in

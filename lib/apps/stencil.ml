@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 (* simulated CPU seconds per floating-point operation *)
 let flop_cost = 2e-9
@@ -23,8 +22,7 @@ module type KERNEL = sig
   val mem_bytes : int
   val neighbors : size:int -> int -> int list
   val kinit : rank:int -> size:int -> extra:string list -> kstate
-  val encode_k : W.t -> kstate -> unit
-  val decode_k : R.t -> kstate
+  val codec_k : kstate C.t
   val kstep : Simos.Program.ctx -> Mpi.t -> kstate -> kstate kout
 end
 
@@ -38,44 +36,20 @@ module Make (K : KERNEL) : Simos.Program.S = struct
 
   let name = K.prog_name
 
-  let encode w = function
-    | F_boot -> W.u8 w 0
-    | F_init (comm, k) ->
-      W.u8 w 1;
-      Mpi.encode w comm;
-      K.encode_k w k
-    | F_run (comm, k) ->
-      W.u8 w 2;
-      Mpi.encode w comm;
-      K.encode_k w k
-    | F_flush (comm, ok) ->
-      W.u8 w 4;
-      Mpi.encode w comm;
-      W.bool w ok
-    | F_notify (n, ok) ->
-      W.u8 w 3;
-      Launchers.encode_notify w n;
-      W.bool w ok
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> F_boot
-    | 1 ->
-      let comm = Mpi.decode r in
-      let k = K.decode_k r in
-      F_init (comm, k)
-    | 2 ->
-      let comm = Mpi.decode r in
-      let k = K.decode_k r in
-      F_run (comm, k)
-    | 4 ->
-      let comm = Mpi.decode r in
-      let ok = R.bool r in
-      F_flush (comm, ok)
-    | _ ->
-      let n = Launchers.decode_notify r in
-      let ok = R.bool r in
-      F_notify (n, ok)
+  let codec =
+    C.(
+      variant name (fun boot init run flush notify w -> function
+        | F_boot -> boot w
+        | F_init (comm, k) -> init w comm k
+        | F_run (comm, k) -> run w comm k
+        | F_flush (comm, ok) -> flush w comm ok
+        | F_notify (n, ok) -> notify w n ok)
+      |> case 0 [] F_boot
+      |> case 1 [ Mpi.codec; K.codec_k ] (fun comm k -> F_init (comm, k))
+      |> case 2 [ Mpi.codec; K.codec_k ] (fun comm k -> F_run (comm, k))
+      |> case 4 [ Mpi.codec; bool ] (fun comm ok -> F_flush (comm, ok))
+      |> case 3 [ Launchers.notify_codec; bool ] (fun n ok -> F_notify (n, ok))
+      |> sealv)
 
   let init ~argv:_ = F_boot
 
@@ -199,32 +173,21 @@ module Jacobi = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.cells;
-    W.uvarint w k.h;
-    W.uvarint w k.steps;
-    W.f64 w k.think;
-    W.uvarint w k.step_no;
-    W.uvarint w (Array.length k.u);
-    Array.iter (W.f64 w) k.u;
-    W.uvarint w k.phase;
-    W.bool w k.got_left;
-    W.bool w k.got_right;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let cells = R.uvarint r in
-    let h = R.uvarint r in
-    let steps = R.uvarint r in
-    let think = R.f64 r in
-    let step_no = R.uvarint r in
-    let n = R.uvarint r in
-    let u = Array.init n (fun _ -> R.f64 r) in
-    let phase = R.uvarint r in
-    let got_left = R.bool r in
-    let got_right = R.bool r in
-    let coll = R.option Mpi.Coll.decode r in
-    { cells; h; steps; think; step_no; u; phase; got_left; got_right; coll }
+  let codec_k =
+    C.(
+      record (fun cells h steps think step_no u phase got_left got_right coll ->
+          { cells; h; steps; think; step_no; u; phase; got_left; got_right; coll })
+      |> field uvarint (fun k -> k.cells)
+      |> field uvarint (fun k -> k.h)
+      |> field uvarint (fun k -> k.steps)
+      |> field f64 (fun k -> k.think)
+      |> field uvarint (fun k -> k.step_no)
+      |> field (array f64) (fun k -> k.u)
+      |> field uvarint (fun k -> k.phase)
+      |> field bool (fun k -> k.got_left)
+      |> field bool (fun k -> k.got_right)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let pack = Array.fold_left (fun acc v -> acc ^ Mpi.f64_str v) ""
 
@@ -347,47 +310,26 @@ module Bsp = struct
       coll = None;
     }
 
-  let encode_k w k =
-    W.uvarint w k.phases;
-    W.uvarint w k.bytes;
-    W.uvarint w k.straggle_every;
-    W.f64 w k.straggle_secs;
-    W.uvarint w k.phase_no;
-    W.uvarint w k.stage;
-    W.bool w k.got_left;
-    W.bool w k.got_right;
-    W.bool w k.straggled;
-    W.f64 w k.checksum;
-    W.bool w k.ok;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let phases = R.uvarint r in
-    let bytes = R.uvarint r in
-    let straggle_every = R.uvarint r in
-    let straggle_secs = R.f64 r in
-    let phase_no = R.uvarint r in
-    let stage = R.uvarint r in
-    let got_left = R.bool r in
-    let got_right = R.bool r in
-    let straggled = R.bool r in
-    let checksum = R.f64 r in
-    let ok = R.bool r in
-    let coll = R.option Mpi.Coll.decode r in
-    {
-      phases;
-      bytes;
-      straggle_every;
-      straggle_secs;
-      phase_no;
-      stage;
-      got_left;
-      got_right;
-      straggled;
-      checksum;
-      ok;
-      coll;
-    }
+  let codec_k =
+    C.(
+      record
+        (fun phases bytes straggle_every straggle_secs phase_no stage got_left got_right straggled
+             checksum ok coll ->
+          { phases; bytes; straggle_every; straggle_secs; phase_no; stage; got_left; got_right;
+            straggled; checksum; ok; coll })
+      |> field uvarint (fun k -> k.phases)
+      |> field uvarint (fun k -> k.bytes)
+      |> field uvarint (fun k -> k.straggle_every)
+      |> field f64 (fun k -> k.straggle_secs)
+      |> field uvarint (fun k -> k.phase_no)
+      |> field uvarint (fun k -> k.stage)
+      |> field bool (fun k -> k.got_left)
+      |> field bool (fun k -> k.got_right)
+      |> field bool (fun k -> k.straggled)
+      |> field f64 (fun k -> k.checksum)
+      |> field bool (fun k -> k.ok)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let payload ~phase ~src ~bytes =
     String.init bytes (fun j -> Char.chr (((phase * 31) + (src * 17) + j) land 0xff))

@@ -1,5 +1,4 @@
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let prog_name = "apps:synthetic"
 
@@ -30,20 +29,15 @@ module K = struct
     in
     { mb; rounds; round = 0; allocated = false; coll = None }
 
-  let encode_k w k =
-    W.uvarint w k.mb;
-    W.uvarint w k.rounds;
-    W.uvarint w k.round;
-    W.bool w k.allocated;
-    W.option Mpi.Coll.encode w k.coll
-
-  let decode_k r =
-    let mb = R.uvarint r in
-    let rounds = R.uvarint r in
-    let round = R.uvarint r in
-    let allocated = R.bool r in
-    let coll = R.option Mpi.Coll.decode r in
-    { mb; rounds; round; allocated; coll }
+  let codec_k =
+    C.(
+      record (fun mb rounds round allocated coll -> { mb; rounds; round; allocated; coll })
+      |> field uvarint (fun k -> k.mb)
+      |> field uvarint (fun k -> k.rounds)
+      |> field uvarint (fun k -> k.round)
+      |> field bool (fun k -> k.allocated)
+      |> field (option Mpi.Coll.codec) (fun k -> k.coll)
+      |> seal)
 
   let kstep ctx comm k =
     if not k.allocated then begin

@@ -7,8 +7,7 @@
    an explicit "degraded" verdict where the paper promises graceful
    degradation instead). *)
 
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 let record_bytes = Progs.record_bytes
 let encode_record = Progs.encode_record
@@ -29,26 +28,16 @@ module Dns_server = struct
 
   let name = "p:dnssrv"
 
-  let encode w = function
-    | Boot { port } ->
-      W.u8 w 0;
-      W.uvarint w port
-    | Accepting { lfd } ->
-      W.u8 w 1;
-      W.uvarint w lfd
-    | Serve { fd; buf } ->
-      W.u8 w 2;
-      W.uvarint w fd;
-      W.string w buf
-
-  let decode r =
-    match R.u8 r with
-    | 0 -> Boot { port = R.uvarint r }
-    | 1 -> Accepting { lfd = R.uvarint r }
-    | _ ->
-      let fd = R.uvarint r in
-      let buf = R.string r in
-      Serve { fd; buf }
+  let codec =
+    C.(
+      variant name (fun boot accepting serve w -> function
+        | Boot { port } -> boot w port
+        | Accepting { lfd } -> accepting w lfd
+        | Serve { fd; buf } -> serve w fd buf)
+      |> case 0 [ uvarint ] (fun port -> Boot { port })
+      |> case 1 [ uvarint ] (fun lfd -> Accepting { lfd })
+      |> case 2 [ uvarint; string ] (fun fd buf -> Serve { fd; buf })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -107,68 +96,26 @@ module Dns_client = struct
 
   let name = "p:dnscli"
 
-  let encode w = function
-    | Boot { host; port; count; out } ->
-      W.u8 w 0;
-      W.uvarint w host;
-      W.uvarint w port;
-      W.uvarint w count;
-      W.string w out
-    | Connecting { fd; count; out } ->
-      W.u8 w 1;
-      W.uvarint w fd;
-      W.uvarint w count;
-      W.string w out
-    | Ask { fd; n; count; out } ->
-      W.u8 w 2;
-      W.uvarint w fd;
-      W.uvarint w n;
-      W.uvarint w count;
-      W.string w out
-    | Await { fd; n; count; out; buf } ->
-      W.u8 w 3;
-      W.uvarint w fd;
-      W.uvarint w n;
-      W.uvarint w count;
-      W.string w out;
-      W.string w buf
-    | Fallback { n; count; out } ->
-      W.u8 w 4;
-      W.uvarint w n;
-      W.uvarint w count;
-      W.string w out
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let host = R.uvarint r in
-      let port = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Boot { host; port; count; out }
-    | 1 ->
-      let fd = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Connecting { fd; count; out }
-    | 2 ->
-      let fd = R.uvarint r in
-      let n = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Ask { fd; n; count; out }
-    | 3 ->
-      let fd = R.uvarint r in
-      let n = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      let buf = R.string r in
-      Await { fd; n; count; out; buf }
-    | _ ->
-      let n = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Fallback { n; count; out }
+  let codec =
+    C.(
+      variant name (fun boot connecting ask await fallback w -> function
+        | Boot { host; port; count; out } -> boot w host port count out
+        | Connecting { fd; count; out } -> connecting w fd count out
+        | Ask { fd; n; count; out } -> ask w fd n count out
+        | Await { fd; n; count; out; buf } -> await w fd n count out buf
+        | Fallback { n; count; out } -> fallback w n count out)
+      |> case 0
+           [ uvarint; uvarint; uvarint; string ]
+           (fun host port count out -> Boot { host; port; count; out })
+      |> case 1 [ uvarint; uvarint; string ] (fun fd count out -> Connecting { fd; count; out })
+      |> case 2
+           [ uvarint; uvarint; uvarint; string ]
+           (fun fd n count out -> Ask { fd; n; count; out })
+      |> case 3
+           [ uvarint; uvarint; uvarint; string; string ]
+           (fun fd n count out buf -> Await { fd; n; count; out; buf })
+      |> case 4 [ uvarint; uvarint; string ] (fun n count out -> Fallback { n; count; out })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -253,20 +200,15 @@ module Proc_fd = struct
 
   let name = "p:procfd"
 
-  let encode w st =
-    W.uvarint w st.phase;
-    W.uvarint w st.fd;
-    W.uvarint w st.iters;
-    W.uvarint w st.done_;
-    W.string w st.out
-
-  let decode r =
-    let phase = R.uvarint r in
-    let fd = R.uvarint r in
-    let iters = R.uvarint r in
-    let done_ = R.uvarint r in
-    let out = R.string r in
-    { phase; fd; iters; done_; out }
+  let codec =
+    C.(
+      record (fun phase fd iters done_ out -> { phase; fd; iters; done_; out })
+      |> field uvarint (fun st -> st.phase)
+      |> field uvarint (fun st -> st.fd)
+      |> field uvarint (fun st -> st.iters)
+      |> field uvarint (fun st -> st.done_)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -329,22 +271,17 @@ module Nscd_app = struct
 
   let name = "p:nscdapp"
 
-  let encode w st =
-    W.uvarint w st.phase;
-    W.uvarint w st.addr;
-    W.uvarint w st.lookups;
-    W.uvarint w st.done_;
-    W.bool w st.degraded;
-    W.string w st.out
-
-  let decode r =
-    let phase = R.uvarint r in
-    let addr = R.uvarint r in
-    let lookups = R.uvarint r in
-    let done_ = R.uvarint r in
-    let degraded = R.bool r in
-    let out = R.string r in
-    { phase; addr; lookups; done_; degraded; out }
+  let codec =
+    C.(
+      record (fun phase addr lookups done_ degraded out ->
+          { phase; addr; lookups; done_; degraded; out })
+      |> field uvarint (fun st -> st.phase)
+      |> field uvarint (fun st -> st.addr)
+      |> field uvarint (fun st -> st.lookups)
+      |> field uvarint (fun st -> st.done_)
+      |> field bool (fun st -> st.degraded)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with

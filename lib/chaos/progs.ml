@@ -5,8 +5,7 @@
    one writes a self-describing verdict to an output file, which is what
    the chaos runner compares against an unfaulted reference run. *)
 
-module W = Util.Codec.Writer
-module R = Util.Codec.Reader
+module C = Util.Codec
 
 (* ------------------------------------------------------------------ *)
 (* p:counter — computes for a while, writes the result to a file. *)
@@ -16,16 +15,13 @@ module Counter = struct
 
   let name = "p:counter"
 
-  let encode w st =
-    W.uvarint w st.n;
-    W.uvarint w st.target;
-    W.string w st.out
-
-  let decode r =
-    let n = R.uvarint r in
-    let target = R.uvarint r in
-    let out = R.string r in
-    { n; target; out }
+  let codec =
+    C.(
+      record (fun n target out -> { n; target; out })
+      |> field uvarint (fun st -> st.n)
+      |> field uvarint (fun st -> st.target)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -53,20 +49,15 @@ module Memhog = struct
 
   let name = "p:memhog"
 
-  let encode w st =
-    W.uvarint w st.phase;
-    W.uvarint w st.mb;
-    W.uvarint w st.iters;
-    W.uvarint w st.done_;
-    W.string w st.out
-
-  let decode r =
-    let phase = R.uvarint r in
-    let mb = R.uvarint r in
-    let iters = R.uvarint r in
-    let done_ = R.uvarint r in
-    let out = R.string r in
-    { phase; mb; iters; done_; out }
+  let codec =
+    C.(
+      record (fun phase mb iters done_ out -> { phase; mb; iters; done_; out })
+      |> field uvarint (fun st -> st.phase)
+      |> field uvarint (fun st -> st.mb)
+      |> field uvarint (fun st -> st.iters)
+      |> field uvarint (fun st -> st.done_)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -116,44 +107,18 @@ module Stream_server = struct
 
   let name = "p:stream-server"
 
-  let encode w = function
-    | Boot { port; count; out } ->
-      W.u8 w 0;
-      W.uvarint w port;
-      W.uvarint w count;
-      W.string w out
-    | Accepting { lfd; count; out } ->
-      W.u8 w 1;
-      W.uvarint w lfd;
-      W.uvarint w count;
-      W.string w out
-    | Run { fd; expect; count; buf; out } ->
-      W.u8 w 2;
-      W.uvarint w fd;
-      W.uvarint w expect;
-      W.uvarint w count;
-      W.string w buf;
-      W.string w out
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let port = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Boot { port; count; out }
-    | 1 ->
-      let lfd = R.uvarint r in
-      let count = R.uvarint r in
-      let out = R.string r in
-      Accepting { lfd; count; out }
-    | _ ->
-      let fd = R.uvarint r in
-      let expect = R.uvarint r in
-      let count = R.uvarint r in
-      let buf = R.string r in
-      let out = R.string r in
-      Run { fd; expect; count; buf; out }
+  let codec =
+    C.(
+      variant name (fun boot accepting run w -> function
+        | Boot { port; count; out } -> boot w port count out
+        | Accepting { lfd; count; out } -> accepting w lfd count out
+        | Run { fd; expect; count; buf; out } -> run w fd expect count buf out)
+      |> case 0 [ uvarint; uvarint; string ] (fun port count out -> Boot { port; count; out })
+      |> case 1 [ uvarint; uvarint; string ] (fun lfd count out -> Accepting { lfd; count; out })
+      |> case 2
+           [ uvarint; uvarint; uvarint; string; string ]
+           (fun fd expect count buf out -> Run { fd; expect; count; buf; out })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -215,40 +180,18 @@ module Stream_client = struct
 
   let name = "p:stream-client"
 
-  let encode w = function
-    | Boot { host; port; count } ->
-      W.u8 w 0;
-      W.uvarint w host;
-      W.uvarint w port;
-      W.uvarint w count
-    | Connecting { fd; count } ->
-      W.u8 w 1;
-      W.uvarint w fd;
-      W.uvarint w count
-    | Send { fd; next; count; pending } ->
-      W.u8 w 2;
-      W.uvarint w fd;
-      W.uvarint w next;
-      W.uvarint w count;
-      W.string w pending
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let host = R.uvarint r in
-      let port = R.uvarint r in
-      let count = R.uvarint r in
-      Boot { host; port; count }
-    | 1 ->
-      let fd = R.uvarint r in
-      let count = R.uvarint r in
-      Connecting { fd; count }
-    | _ ->
-      let fd = R.uvarint r in
-      let next = R.uvarint r in
-      let count = R.uvarint r in
-      let pending = R.string r in
-      Send { fd; next; count; pending }
+  let codec =
+    C.(
+      variant name (fun boot connecting send w -> function
+        | Boot { host; port; count } -> boot w host port count
+        | Connecting { fd; count } -> connecting w fd count
+        | Send { fd; next; count; pending } -> send w fd next count pending)
+      |> case 0 [ uvarint; uvarint; uvarint ] (fun host port count -> Boot { host; port; count })
+      |> case 1 [ uvarint; uvarint ] (fun fd count -> Connecting { fd; count })
+      |> case 2
+           [ uvarint; uvarint; uvarint; string ]
+           (fun fd next count pending -> Send { fd; next; count; pending })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -303,44 +246,20 @@ module Pipeline = struct
 
   let name = "p:pipeline"
 
-  let encode w = function
-    | Start { count; out } ->
-      W.u8 w 0;
-      W.uvarint w count;
-      W.string w out
-    | Parent { wfd; next; count; pending } ->
-      W.u8 w 1;
-      W.uvarint w wfd;
-      W.uvarint w next;
-      W.uvarint w count;
-      W.string w pending
-    | Child { rfd; expect; count; buf; out } ->
-      W.u8 w 2;
-      W.uvarint w rfd;
-      W.uvarint w expect;
-      W.uvarint w count;
-      W.string w buf;
-      W.string w out
-
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let count = R.uvarint r in
-      let out = R.string r in
-      Start { count; out }
-    | 1 ->
-      let wfd = R.uvarint r in
-      let next = R.uvarint r in
-      let count = R.uvarint r in
-      let pending = R.string r in
-      Parent { wfd; next; count; pending }
-    | _ ->
-      let rfd = R.uvarint r in
-      let expect = R.uvarint r in
-      let count = R.uvarint r in
-      let buf = R.string r in
-      let out = R.string r in
-      Child { rfd; expect; count; buf; out }
+  let codec =
+    C.(
+      variant name (fun start parent child w -> function
+        | Start { count; out } -> start w count out
+        | Parent { wfd; next; count; pending } -> parent w wfd next count pending
+        | Child { rfd; expect; count; buf; out } -> child w rfd expect count buf out)
+      |> case 0 [ uvarint; string ] (fun count out -> Start { count; out })
+      |> case 1
+           [ uvarint; uvarint; uvarint; string ]
+           (fun wfd next count pending -> Parent { wfd; next; count; pending })
+      |> case 2
+           [ uvarint; uvarint; uvarint; string; string ]
+           (fun rfd expect count buf out -> Child { rfd; expect; count; buf; out })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -419,16 +338,13 @@ module Aware = struct
 
   let name = "p:aware"
 
-  let encode w st =
-    W.uvarint w st.phase;
-    W.f64 w st.hold;
-    W.f64 w st.entered_at
-
-  let decode r =
-    let phase = R.uvarint r in
-    let hold = R.f64 r in
-    let entered_at = R.f64 r in
-    { phase; hold; entered_at }
+  let codec =
+    C.(
+      record (fun phase hold entered_at -> { phase; hold; entered_at })
+      |> field uvarint (fun st -> st.phase)
+      |> field f64 (fun st -> st.hold)
+      |> field f64 (fun st -> st.entered_at)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -463,32 +379,18 @@ module Shm = struct
 
   let name = "p:shm"
 
-  let encode w = function
-    | Sh_start { rounds; out } ->
-      W.u8 w 0;
-      W.uvarint w rounds;
-      W.string w out
-    | Sh_run { role; addr; round; rounds; out } ->
-      W.u8 w 1;
-      W.u8 w (match role with Ping -> 0 | Pong -> 1);
-      W.uvarint w addr;
-      W.uvarint w round;
-      W.uvarint w rounds;
-      W.string w out
+  let role_codec = C.enum "shm role" [| Ping; Pong |]
 
-  let decode r =
-    match R.u8 r with
-    | 0 ->
-      let rounds = R.uvarint r in
-      let out = R.string r in
-      Sh_start { rounds; out }
-    | _ ->
-      let role = if R.u8 r = 0 then Ping else Pong in
-      let addr = R.uvarint r in
-      let round = R.uvarint r in
-      let rounds = R.uvarint r in
-      let out = R.string r in
-      Sh_run { role; addr; round; rounds; out }
+  let codec =
+    C.(
+      variant name (fun start run w -> function
+        | Sh_start { rounds; out } -> start w rounds out
+        | Sh_run { role; addr; round; rounds; out } -> run w role addr round rounds out)
+      |> case 0 [ uvarint; string ] (fun rounds out -> Sh_start { rounds; out })
+      |> case 1
+           [ role_codec; uvarint; uvarint; uvarint; string ]
+           (fun role addr round rounds out -> Sh_run { role; addr; round; rounds; out })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -551,18 +453,14 @@ module Sigapp = struct
 
   let name = "p:sigapp"
 
-  let encode w st =
-    W.uvarint w st.want;
-    W.uvarint w st.got;
-    W.string w st.out;
-    W.bool w st.installed
-
-  let decode r =
-    let want = R.uvarint r in
-    let got = R.uvarint r in
-    let out = R.string r in
-    let installed = R.bool r in
-    { want; got; out; installed }
+  let codec =
+    C.(
+      record (fun want got out installed -> { want; got; out; installed })
+      |> field uvarint (fun st -> st.want)
+      |> field uvarint (fun st -> st.got)
+      |> field string (fun st -> st.out)
+      |> field bool (fun st -> st.installed)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -612,24 +510,18 @@ module Dirty = struct
 
   let name = "p:dirty"
 
-  let encode w st =
-    W.uvarint w st.phase;
-    W.uvarint w st.pages;
-    W.uvarint w st.dirty;
-    W.uvarint w st.iters;
-    W.uvarint w st.done_;
-    W.uvarint w st.base;
-    W.string w st.out
-
-  let decode r =
-    let phase = R.uvarint r in
-    let pages = R.uvarint r in
-    let dirty = R.uvarint r in
-    let iters = R.uvarint r in
-    let done_ = R.uvarint r in
-    let base = R.uvarint r in
-    let out = R.string r in
-    { phase; pages; dirty; iters; done_; base; out }
+  let codec =
+    C.(
+      record (fun phase pages dirty iters done_ base out ->
+          { phase; pages; dirty; iters; done_; base; out })
+      |> field uvarint (fun st -> st.phase)
+      |> field uvarint (fun st -> st.pages)
+      |> field uvarint (fun st -> st.dirty)
+      |> field uvarint (fun st -> st.iters)
+      |> field uvarint (fun st -> st.done_)
+      |> field uvarint (fun st -> st.base)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with

@@ -25,16 +25,4 @@ let decompress t s =
   | Rle -> Rle.decompress s
   | Deflate -> Deflate.decompress s
 
-let to_tag = function
-  | Null -> 0
-  | Rle -> 1
-  | Deflate -> 2
-
-let encode w t = Util.Codec.Writer.u8 w (to_tag t)
-
-let decode r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Null
-  | 1 -> Rle
-  | 2 -> Deflate
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad compression tag %d" n))
+let codec = Util.Codec.enum "compression" [| Null; Rle; Deflate |]

@@ -19,5 +19,4 @@ val compress : t -> string -> string
 
 val decompress : t -> string -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

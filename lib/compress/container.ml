@@ -103,7 +103,7 @@ let pack ?(block_size = default_block_size) ~algo s =
   let nblocks = (n + block_size - 1) / block_size in
   let w = Util.Codec.Writer.create ~capacity:(n / 2 + 64) () in
   Util.Codec.Writer.raw w magic;
-  Algo.encode w algo;
+  Util.Codec.write Algo.codec w algo;
   Util.Codec.Writer.uvarint w block_size;
   Util.Codec.Writer.uvarint w n;
   Util.Codec.Writer.uvarint w nblocks;
@@ -130,7 +130,7 @@ let pack_v1 ~algo s =
   let body = Algo.compress algo s in
   let w = Util.Codec.Writer.create ~capacity:(String.length body + 32) () in
   Util.Codec.Writer.raw w magic_v1;
-  Algo.encode w algo;
+  Util.Codec.write Algo.codec w algo;
   Util.Codec.Writer.uvarint w (String.length s);
   Util.Codec.Writer.i64 w (Int64.of_int32 (Util.Crc32.digest s));
   Util.Codec.Writer.string w body;
@@ -140,7 +140,7 @@ let read_header s =
   let r = Util.Codec.Reader.of_string s in
   let m = try Util.Codec.Reader.raw r 4 with Util.Codec.Reader.Corrupt _ -> "" in
   if m <> magic && m <> magic_v1 then raise (Bad_container "bad magic");
-  let algo = Algo.decode r in
+  let algo = Util.Codec.read Algo.codec r in
   (r, m, algo)
 
 let algo_of s =
@@ -222,7 +222,7 @@ let frame_bounds s =
       let r = R.of_string s in
       let pos () = total - R.remaining r in
       ignore (R.raw r 4);
-      let _algo = Algo.decode r in
+      let _algo = Util.Codec.read Algo.codec r in
       let block_size = R.uvarint r in
       let orig_len = R.uvarint r in
       let nblocks = R.uvarint r in

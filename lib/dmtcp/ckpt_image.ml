@@ -48,105 +48,74 @@ let filename ?seq t =
 module W = Util.Codec.Writer
 module R = Util.Codec.Reader
 
-let encode_sock_state w = function
-  | S_established -> W.u8 w 0
-  | S_listening { port; unix_path; backlog } ->
-    W.u8 w 1;
-    W.option W.uvarint w port;
-    W.option W.string w unix_path;
-    W.uvarint w backlog
-  | S_other -> W.u8 w 2
+module C = Util.Codec
 
-let decode_sock_state r =
-  match R.u8 r with
-  | 0 -> S_established
-  | 1 ->
-    let port = R.option R.uvarint r in
-    let unix_path = R.option R.string r in
-    let backlog = R.uvarint r in
-    S_listening { port; unix_path; backlog }
-  | 2 -> S_other
-  | n -> raise (R.Corrupt (Printf.sprintf "bad sock state %d" n))
+let sock_state_codec =
+  C.(
+    variant "sock state" (fun established listening other w -> function
+      | S_established -> established w
+      | S_listening { port; unix_path; backlog } -> listening w port unix_path backlog
+      | S_other -> other w)
+    |> case 0 [] S_established
+    |> case 1
+         [ option uvarint; option string; uvarint ]
+         (fun port unix_path backlog -> S_listening { port; unix_path; backlog })
+    |> case 2 [] S_other
+    |> sealv)
 
-let role_tag = function
-  | Conn_table.Connector -> 0
-  | Conn_table.Acceptor -> 1
-  | Conn_table.Pair_a -> 2
-  | Conn_table.Pair_b -> 3
+let fd_info_codec =
+  C.(
+    variant "fd info" (fun file sock pty w -> function
+      | FFile { path; offset } -> file w path offset
+      | FSock { state; kind; role; conn_id; drained; eof } ->
+        sock w state kind role conn_id drained eof
+      | FPty { master; pty_key } -> pty w master pty_key)
+    |> case 0 [ string; uvarint ] (fun path offset -> FFile { path; offset })
+    |> case 1
+         [
+           sock_state_codec; Conn_table.kind_codec; Conn_table.role_codec; Conn_id.codec; string;
+           bool;
+         ]
+         (fun state kind role conn_id drained eof ->
+           FSock { state; kind; role; conn_id; drained; eof })
+    |> case 2 [ bool; uvarint ] (fun master pty_key -> FPty { master; pty_key })
+    |> sealv)
 
-let role_of_tag = function
-  | 0 -> Conn_table.Connector
-  | 1 -> Conn_table.Acceptor
-  | 2 -> Conn_table.Pair_a
-  | 3 -> Conn_table.Pair_b
-  | n -> raise (R.Corrupt (Printf.sprintf "bad role %d" n))
+let pty_codec =
+  C.(
+    record (fun pty_key pr_name icanon echo isig baud drained_to_slave drained_to_master ->
+        { pty_key; pr_name; icanon; echo; isig; baud; drained_to_slave; drained_to_master })
+    |> field uvarint (fun p -> p.pty_key)
+    |> field string (fun p -> p.pr_name)
+    |> field bool (fun p -> p.icanon)
+    |> field bool (fun p -> p.echo)
+    |> field bool (fun p -> p.isig)
+    |> field uvarint (fun p -> p.baud)
+    |> field string (fun p -> p.drained_to_slave)
+    |> field string (fun p -> p.drained_to_master)
+    |> seal)
 
-let kind_tag = function Conn_table.Tcp -> 0 | Conn_table.Unixsock -> 1 | Conn_table.Pair -> 2
-
-let kind_of_tag = function
-  | 0 -> Conn_table.Tcp
-  | 1 -> Conn_table.Unixsock
-  | 2 -> Conn_table.Pair
-  | n -> raise (R.Corrupt (Printf.sprintf "bad kind %d" n))
-
-let encode_fd_info w = function
-  | FFile { path; offset } ->
-    W.u8 w 0;
-    W.string w path;
-    W.uvarint w offset
-  | FSock { state; kind; role; conn_id; drained; eof } ->
-    W.u8 w 1;
-    encode_sock_state w state;
-    W.u8 w (kind_tag kind);
-    W.u8 w (role_tag role);
-    Conn_id.encode w conn_id;
-    W.string w drained;
-    W.bool w eof
-  | FPty { master; pty_key } ->
-    W.u8 w 2;
-    W.bool w master;
-    W.uvarint w pty_key
-
-let decode_fd_info r =
-  match R.u8 r with
-  | 0 ->
-    let path = R.string r in
-    let offset = R.uvarint r in
-    FFile { path; offset }
-  | 1 ->
-    let state = decode_sock_state r in
-    let kind = kind_of_tag (R.u8 r) in
-    let role = role_of_tag (R.u8 r) in
-    let conn_id = Conn_id.decode r in
-    let drained = R.string r in
-    let eof = R.bool r in
-    FSock { state; kind; role; conn_id; drained; eof }
-  | 2 ->
-    let master = R.bool r in
-    let pty_key = R.uvarint r in
-    FPty { master; pty_key }
-  | n -> raise (R.Corrupt (Printf.sprintf "bad fd info %d" n))
-
-let encode_pty w p =
-  W.uvarint w p.pty_key;
-  W.string w p.pr_name;
-  W.bool w p.icanon;
-  W.bool w p.echo;
-  W.bool w p.isig;
-  W.uvarint w p.baud;
-  W.string w p.drained_to_slave;
-  W.string w p.drained_to_master
-
-let decode_pty r =
-  let pty_key = R.uvarint r in
-  let pr_name = R.string r in
-  let icanon = R.bool r in
-  let echo = R.bool r in
-  let isig = R.bool r in
-  let baud = R.uvarint r in
-  let drained_to_slave = R.string r in
-  let drained_to_master = R.string r in
-  { pty_key; pr_name; icanon; echo; isig; baud; drained_to_slave; drained_to_master }
+(* The metadata section: everything but [mtcp_blob], which is a section
+   of its own and reads back empty here. *)
+let meta_codec =
+  C.(
+    record
+      (fun upid vpid parent_vpid program fds ptys algo uncompressed compressed zero_bytes
+           delta_base ->
+        { upid; vpid; parent_vpid; program; fds; ptys; algo;
+          sizes = { Mtcp.Image.uncompressed; compressed; zero_bytes }; delta_base; mtcp_blob = "" })
+    |> field Upid.codec (fun t -> t.upid)
+    |> field uvarint (fun t -> t.vpid)
+    |> field uvarint (fun t -> t.parent_vpid)
+    |> field string (fun t -> t.program)
+    |> field (list (triple uvarint uvarint fd_info_codec)) (fun t -> t.fds)
+    |> field (list pty_codec) (fun t -> t.ptys)
+    |> field Compress.Algo.codec (fun t -> t.algo)
+    |> field uvarint (fun t -> t.sizes.Mtcp.Image.uncompressed)
+    |> field uvarint (fun t -> t.sizes.Mtcp.Image.compressed)
+    |> field uvarint (fun t -> t.sizes.Mtcp.Image.zero_bytes)
+    |> field (option string) (fun t -> t.delta_base)
+    |> seal)
 
 let magic = "DMTCP_CKPT_V2"
 
@@ -173,22 +142,7 @@ let read_section r what =
 
 let encode t =
   let meta = W.create ~capacity:1024 () in
-  Upid.encode meta t.upid;
-  W.uvarint meta t.vpid;
-  W.uvarint meta t.parent_vpid;
-  W.string meta t.program;
-  W.list
-    (fun w (fd, key, info) ->
-      W.uvarint w fd;
-      W.uvarint w key;
-      encode_fd_info w info)
-    meta t.fds;
-  W.list encode_pty meta t.ptys;
-  Compress.Algo.encode meta t.algo;
-  W.uvarint meta t.sizes.Mtcp.Image.uncompressed;
-  W.uvarint meta t.sizes.Mtcp.Image.compressed;
-  W.uvarint meta t.sizes.Mtcp.Image.zero_bytes;
-  W.option W.string meta t.delta_base;
+  C.write meta_codec meta t;
   let w = W.create ~capacity:(String.length t.mtcp_blob + 1024) () in
   W.raw w magic;
   write_section w (W.contents meta);
@@ -203,39 +157,7 @@ let decode s =
     let meta = read_section r "metadata" in
     let mtcp_blob = read_section r "mtcp" in
     R.expect_end r;
-    let r = R.of_string meta in
-    let upid = Upid.decode r in
-    let vpid = R.uvarint r in
-    let parent_vpid = R.uvarint r in
-    let program = R.string r in
-    let fds =
-      R.list
-        (fun r ->
-          let fd = R.uvarint r in
-          let key = R.uvarint r in
-          let info = decode_fd_info r in
-          (fd, key, info))
-        r
-    in
-    let ptys = R.list decode_pty r in
-    let algo = Compress.Algo.decode r in
-    let uncompressed = R.uvarint r in
-    let compressed = R.uvarint r in
-    let zero_bytes = R.uvarint r in
-    let delta_base = R.option R.string r in
-    R.expect_end r;
-    {
-      upid;
-      vpid;
-      parent_vpid;
-      program;
-      fds;
-      ptys;
-      algo;
-      sizes = { Mtcp.Image.uncompressed; compressed; zero_bytes };
-      delta_base;
-      mtcp_blob;
-    }
+    { (C.of_string meta_codec meta) with mtcp_blob }
   with
   | Corrupt_image _ as e -> raise e
   | R.Corrupt msg -> raise (Corrupt_image msg)

@@ -4,15 +4,11 @@ let make ~hostid ~pid ~timestamp ~seq = { hostid; pid; timestamp; seq }
 let to_key t = Printf.sprintf "conn:%d:%d:%h:%d" t.hostid t.pid t.timestamp t.seq
 let equal a b = a = b
 
-let encode w t =
-  Util.Codec.Writer.uvarint w t.hostid;
-  Util.Codec.Writer.uvarint w t.pid;
-  Util.Codec.Writer.f64 w t.timestamp;
-  Util.Codec.Writer.uvarint w t.seq
-
-let decode r =
-  let hostid = Util.Codec.Reader.uvarint r in
-  let pid = Util.Codec.Reader.uvarint r in
-  let timestamp = Util.Codec.Reader.f64 r in
-  let seq = Util.Codec.Reader.uvarint r in
-  { hostid; pid; timestamp; seq }
+let codec =
+  Util.Codec.(
+    record (fun hostid pid timestamp seq -> { hostid; pid; timestamp; seq })
+    |> field uvarint (fun t -> t.hostid)
+    |> field uvarint (fun t -> t.pid)
+    |> field f64 (fun t -> t.timestamp)
+    |> field uvarint (fun t -> t.seq)
+    |> seal)

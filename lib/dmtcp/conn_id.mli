@@ -14,5 +14,4 @@ val make : hostid:int -> pid:int -> timestamp:float -> seq:int -> t
 val to_key : t -> string
 
 val equal : t -> t -> bool
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

@@ -46,7 +46,9 @@ val unique_descs : t -> (int * entry) list
     per-process). *)
 val clone : t -> t
 
-val encode_entry : Util.Codec.Writer.t -> entry -> unit
-val decode_entry : Util.Codec.Reader.t -> entry
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val role_codec : role Util.Codec.t
+val kind_codec : sock_kind Util.Codec.t
+val entry_codec : entry Util.Codec.t
+
+(** The (fd, entry) pairs in fd order. *)
+val codec : t Util.Codec.t

@@ -37,8 +37,7 @@ module P = struct
   type nonrec state = state
 
   let name = name
-  let encode _ _ = failwith "dmtcp:coordinator is not checkpointable"
-  let decode _ = failwith "dmtcp:coordinator is not checkpointable"
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
 
   let init ~argv:_ =
     {

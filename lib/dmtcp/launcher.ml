@@ -12,8 +12,7 @@ module Checkpoint = struct
 
   let name = checkpoint_name
 
-  let encode _ _ = failwith "dmtcp:checkpoint is not checkpointable"
-  let decode _ = failwith "dmtcp:checkpoint is not checkpointable"
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
   let init ~argv:_ = L_boot
 
   let coordinator_addr (ctx : Simos.Program.ctx) =
@@ -77,8 +76,7 @@ module Command = struct
 
   let name = command_name
 
-  let encode _ _ = failwith "dmtcp:command is not checkpointable"
-  let decode _ = failwith "dmtcp:command is not checkpointable"
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
   let init ~argv:_ = C_boot
 
   (* stdout of the status command, for tests *)

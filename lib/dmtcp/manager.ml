@@ -45,8 +45,8 @@ module P = struct
   type nonrec state = state
 
   let name = name
-  let encode _ _ = failwith "dmtcp:mgr is not checkpointable (recreated at restart)"
-  let decode _ = failwith "dmtcp:mgr is not checkpointable (recreated at restart)"
+  (* recreated at restart instead *)
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
   let init ~argv:_ = { coord_fd = -1; buf = ""; phase = P_boot; drains = []; coord_eof = false }
 
   (* -------------------------------------------------------------- *)

@@ -64,8 +64,7 @@ module P = struct
   type nonrec state = state
 
   let name = name
-  let encode _ _ = failwith "dmtcp:restart is not checkpointable"
-  let decode _ = failwith "dmtcp:restart is not checkpointable"
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
 
   let init ~argv:_ =
     {

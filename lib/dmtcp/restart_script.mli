@@ -12,8 +12,7 @@ type t = {
 (** The [dmtcp_restart_script.sh] text. *)
 val to_text : t -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t
 
 (** Remap original hosts to new hosts (process migration), e.g. restart a
     whole cluster run on one laptop with [fun _ -> 0]. *)

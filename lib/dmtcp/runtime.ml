@@ -484,12 +484,10 @@ let write_conn_table t k (proc : Simos.Kernel.process) =
   let node = Simos.Kernel.node_id k in
   let pid = proc.Simos.Kernel.pid in
   with_pstate t ~node ~pid (fun ps ->
-      let w = Util.Codec.Writer.create () in
-      Conn_table.encode w ps.conns;
       let path = Printf.sprintf "%s/conninfo_%s.tbl" t.opts.Options.ckpt_dir (Upid.to_string ps.upid) in
       let f = Simos.Vfs.open_or_create (Simos.Kernel.vfs k) path in
       Simos.Vfs.truncate f;
-      Simos.Vfs.append f (Util.Codec.Writer.contents w))
+      Simos.Vfs.append f (Util.Codec.to_string Conn_table.codec ps.conns))
 
 (* Close wrapper: an fd-table slot with a connection entry is going
    away, so the entry must not linger (a stale entry is a dangling

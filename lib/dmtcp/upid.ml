@@ -19,3 +19,5 @@ let decode r =
   let pid = Util.Codec.Reader.uvarint r in
   let generation = Util.Codec.Reader.uvarint r in
   { hostid; pid; generation }
+
+let codec = Util.Codec.v encode decode

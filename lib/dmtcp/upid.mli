@@ -14,5 +14,4 @@ val next_generation : t -> t
     retention unit of generational checkpoint GC. *)
 val lineage : t -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

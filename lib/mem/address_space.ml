@@ -148,13 +148,15 @@ let equal a b =
 let encode w t =
   Util.Codec.Writer.uvarint w t.next_addr;
   Util.Codec.Writer.uvarint w t.next_region_id;
-  Util.Codec.Writer.list Region.encode w t.regions
+  Util.Codec.Writer.list (Util.Codec.write Region.codec) w t.regions
 
 let decode r =
   let next_addr = Util.Codec.Reader.uvarint r in
   let next_region_id = Util.Codec.Reader.uvarint r in
-  let regions = Util.Codec.Reader.list Region.decode r in
+  let regions = Util.Codec.Reader.list (Util.Codec.read Region.codec) r in
   { regions; next_addr; next_region_id }
+
+let codec = Util.Codec.v encode decode
 
 let substitute_pages t ~region_id pages =
   t.regions <-

@@ -88,8 +88,10 @@ val resident_pages : t -> int
 (** Structural equality of all regions (order-sensitive). *)
 val equal : t -> t -> bool
 
+val codec : t Util.Codec.t
+
+(** The writer half of {!codec}. *)
 val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
 
 (** [substitute_pages t ~region_id pages] swaps a region's page array for
     [pages] (aliasing, not copying) — used at restart to re-share an

@@ -95,20 +95,4 @@ let ratio algo cls =
 let deflate_ratio cls = ratio Compress.Algo.Deflate cls
 let rle_ratio cls = ratio Compress.Algo.Rle cls
 
-let to_tag = function
-  | Zeros -> 0
-  | Text -> 1
-  | Code -> 2
-  | Numeric -> 3
-  | Random -> 4
-
-let encode w t = Util.Codec.Writer.u8 w (to_tag t)
-
-let decode r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Zeros
-  | 1 -> Text
-  | 2 -> Code
-  | 3 -> Numeric
-  | 4 -> Random
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad entropy tag %d" n))
+let codec = Util.Codec.enum "entropy" [| Zeros; Text; Code; Numeric; Random |]

@@ -32,5 +32,4 @@ val rle_ratio : t -> float
 (** Ratio for an arbitrary scheme ([Null] is 1.0). *)
 val ratio : Compress.Algo.t -> t -> float
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

@@ -23,26 +23,16 @@ let compressed_size algo = function
   | Synthetic { cls; _ } ->
     int_of_float (ceil (float_of_int size *. Entropy.ratio algo cls))
 
-let encode w = function
-  | Zero -> Util.Codec.Writer.u8 w 0
-  | Materialized b ->
-    Util.Codec.Writer.u8 w 1;
-    Util.Codec.Writer.bytes w b
-  | Synthetic { seed; cls } ->
-    Util.Codec.Writer.u8 w 2;
-    Util.Codec.Writer.i64 w seed;
-    Entropy.encode w cls
-
-let decode r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Zero
-  | 1 ->
-    let b = Util.Codec.Reader.bytes r in
-    if Bytes.length b <> size then
-      raise (Util.Codec.Reader.Corrupt (Printf.sprintf "page payload of %d bytes" (Bytes.length b)));
-    Materialized b
-  | 2 ->
-    let seed = Util.Codec.Reader.i64 r in
-    let cls = Entropy.decode r in
-    Synthetic { seed; cls }
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad page tag %d" n))
+let codec =
+  Util.Codec.(
+    variant "page" (fun zero materialized synthetic w -> function
+      | Zero -> zero w
+      | Materialized b -> materialized w (Bytes.unsafe_to_string b)
+      | Synthetic { seed; cls } -> synthetic w seed cls)
+    |> case 0 [] Zero
+    |> case 1 [ string ] (fun b ->
+           if String.length b <> size then
+             raise (Reader.Corrupt (Printf.sprintf "page payload of %d bytes" (String.length b)));
+           Materialized (Bytes.unsafe_of_string b))
+    |> case 2 [ i64; Entropy.codec ] (fun seed cls -> Synthetic { seed; cls })
+    |> sealv)

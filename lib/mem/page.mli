@@ -24,5 +24,4 @@ val is_zero : content -> bool
     [Synthetic], ~0 for [Zero]. Used for simulated image sizing. *)
 val compressed_size : Compress.Algo.t -> content -> int
 
-val encode : Util.Codec.Writer.t -> content -> unit
-val decode : Util.Codec.Reader.t -> content
+val codec : content Util.Codec.t

@@ -77,54 +77,37 @@ let kind_name = function
   | Mmap_anon -> "mmap"
   | Mmap_shared _ -> "mmap-shared"
 
-let encode_kind w = function
-  | Text -> Util.Codec.Writer.u8 w 0
-  | Data -> Util.Codec.Writer.u8 w 1
-  | Heap -> Util.Codec.Writer.u8 w 2
-  | Stack -> Util.Codec.Writer.u8 w 3
-  | Mmap_anon -> Util.Codec.Writer.u8 w 4
-  | Mmap_shared { backing_path } ->
-    Util.Codec.Writer.u8 w 5;
-    Util.Codec.Writer.string w backing_path
+let kind_codec =
+  Util.Codec.(
+    variant "region kind" (fun text data heap stack anon shared w -> function
+      | Text -> text w
+      | Data -> data w
+      | Heap -> heap w
+      | Stack -> stack w
+      | Mmap_anon -> anon w
+      | Mmap_shared { backing_path } -> shared w backing_path)
+    |> case 0 [] Text
+    |> case 1 [] Data
+    |> case 2 [] Heap
+    |> case 3 [] Stack
+    |> case 4 [] Mmap_anon
+    |> case 5 [ string ] (fun backing_path -> Mmap_shared { backing_path })
+    |> sealv)
 
-let decode_kind r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Text
-  | 1 -> Data
-  | 2 -> Heap
-  | 3 -> Stack
-  | 4 -> Mmap_anon
-  | 5 ->
-    let backing_path = Util.Codec.Reader.string r in
-    Mmap_shared { backing_path }
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad region kind %d" n))
-
-let encode w t =
-  Util.Codec.Writer.uvarint w t.id;
-  Util.Codec.Writer.uvarint w t.start_addr;
-  encode_kind w t.kind;
-  Util.Codec.Writer.bool w t.perms.read;
-  Util.Codec.Writer.bool w t.perms.write;
-  Util.Codec.Writer.bool w t.perms.exec;
-  Util.Codec.Writer.array Page.encode w t.pages
-
-let decode r =
-  let id = Util.Codec.Reader.uvarint r in
-  let start_addr = Util.Codec.Reader.uvarint r in
-  let kind = decode_kind r in
-  let read = Util.Codec.Reader.bool r in
-  let write = Util.Codec.Reader.bool r in
-  let exec = Util.Codec.Reader.bool r in
-  let pages = Util.Codec.Reader.array Page.decode r in
-  {
-    id;
-    start_addr;
-    kind;
-    perms = { read; write; exec };
-    pages;
-    dirty = Bytes.make (Array.length pages) '\001';
-    resident = Bytes.make (Array.length pages) '\001';
-  }
+let codec =
+  Util.Codec.(
+    record (fun id start_addr kind read write exec pages ->
+        let n = Array.length pages in
+        { id; start_addr; kind; perms = { read; write; exec }; pages; dirty = Bytes.make n '\001';
+          resident = Bytes.make n '\001' })
+    |> field uvarint (fun t -> t.id)
+    |> field uvarint (fun t -> t.start_addr)
+    |> field kind_codec (fun t -> t.kind)
+    |> field bool (fun t -> t.perms.read)
+    |> field bool (fun t -> t.perms.write)
+    |> field bool (fun t -> t.perms.exec)
+    |> field (array Page.codec) (fun t -> t.pages)
+    |> seal)
 
 let equal a b =
   a.id = b.id && a.start_addr = b.start_addr && a.kind = b.kind && a.perms = b.perms

@@ -24,14 +24,14 @@ type t = {
   dirty : Bytes.t;
       (** byte-per-page dirty bits since the last checkpoint; set by
           {!set_page}, cleared by {!clear_dirty}, all-dirty on
-          {!create}/{!decode}.  Excluded from {!encode} and {!equal}. *)
+          {!create} and decoding.  Excluded from {!codec} and {!equal}. *)
   resident : Bytes.t;
       (** byte-per-page residency bits for demand-paged lazy restore: a
           lazily restored region starts mostly absent
           ({!mark_all_absent}) and pages become resident on first touch
           ({!set_resident}, also by {!set_page}) or via the background
-          prefetcher.  All-resident on {!create}/{!decode}; copied by
-          {!clone_private}; excluded from {!encode} and {!equal}.
+          prefetcher.  All-resident on {!create} and decoding; copied by
+          {!clone_private}; excluded from {!codec} and {!equal}.
           Residency is purely a time-accounting device — page contents
           are always materially present. *)
 }
@@ -84,14 +84,11 @@ val resident_count : t -> int
 
 val kind_name : kind -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t
 
 (** The kind codec alone — delta images serialize a region skeleton
     (identity and shape, no page payloads) and need it separately. *)
-val encode_kind : Util.Codec.Writer.t -> kind -> unit
-
-val decode_kind : Util.Codec.Reader.t -> kind
+val kind_codec : kind Util.Codec.t
 
 (** Structural equality of metadata and page contents (synthetic pages
     compare by descriptor). *)

@@ -25,10 +25,8 @@ let capture (proc : Simos.Kernel.process) =
            in
            (* Round-trip the instance through its codec so the snapshot is
               decoupled from the live (mutable) instance. *)
-           let w = Util.Codec.Writer.create () in
-           Simos.Program.encode_instance w th.Simos.Kernel.inst;
-           let r = Util.Codec.Reader.of_string (Util.Codec.Writer.contents w) in
-           { ti_inst = Simos.Program.decode_instance r; ti_wait })
+           let inst = th.Simos.Kernel.inst in
+           { ti_inst = Util.Codec.roundtrip Simos.Program.instance_codec inst; ti_wait })
   in
   {
     cmdline = proc.Simos.Kernel.cmdline;
@@ -116,65 +114,55 @@ let delta_sizes algo ~prev t =
       (Mem.Address_space.regions t.space);
     { uncompressed = !uncompressed; compressed = !compressed; zero_bytes = !zero }
 
-let encode_sigaction w = function
-  | Simos.Kernel.Sig_default -> Util.Codec.Writer.u8 w 0
-  | Simos.Kernel.Sig_ignore -> Util.Codec.Writer.u8 w 1
-  | Simos.Kernel.Sig_handler name ->
-    Util.Codec.Writer.u8 w 2;
-    Util.Codec.Writer.string w name
+module C = Util.Codec
+module W = Util.Codec.Writer
+module R = Util.Codec.Reader
 
-let decode_sigaction r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Simos.Kernel.Sig_default
-  | 1 -> Simos.Kernel.Sig_ignore
-  | 2 -> Simos.Kernel.Sig_handler (Util.Codec.Reader.string r)
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad sigaction %d" n))
+let sigaction_codec =
+  C.(
+    variant "sigaction" (fun default ignore handler w -> function
+      | Simos.Kernel.Sig_default -> default w
+      | Simos.Kernel.Sig_ignore -> ignore w
+      | Simos.Kernel.Sig_handler name -> handler w name)
+    |> case 0 [] Simos.Kernel.Sig_default
+    |> case 1 [] Simos.Kernel.Sig_ignore
+    |> case 2 [ string ] (fun name -> Simos.Kernel.Sig_handler name)
+    |> sealv)
+
+let thread_codec =
+  C.(
+    record (fun ti_inst ti_wait -> { ti_inst; ti_wait })
+    |> field Simos.Program.instance_codec (fun ti -> ti.ti_inst)
+    |> field (option Simos.Program.wait_codec) (fun ti -> ti.ti_wait)
+    |> seal)
+
+(* the fields a full body and a delta body share, around the address
+   space *)
+let cmdline_codec = C.(list string)
+let env_codec = C.(list (pair string string))
+let threads_codec = C.list thread_codec
+let sigtable_codec = C.(list (pair uvarint sigaction_codec))
+let pending_codec = C.(list uvarint)
+
+let body_codec =
+  C.(
+    record (fun cmdline env threads space sigtable pending_signals ->
+        { cmdline; env; threads; space; sigtable; pending_signals })
+    |> field cmdline_codec (fun t -> t.cmdline)
+    |> field env_codec (fun t -> t.env)
+    |> field threads_codec (fun t -> t.threads)
+    |> field Mem.Address_space.codec (fun t -> t.space)
+    |> field sigtable_codec (fun t -> t.sigtable)
+    |> field pending_codec (fun t -> t.pending_signals)
+    |> seal)
 
 let encode_body t =
-  let w = Util.Codec.Writer.create ~capacity:4096 () in
-  Util.Codec.Writer.list Util.Codec.Writer.string w t.cmdline;
-  Util.Codec.Writer.list
-    (Util.Codec.Writer.pair Util.Codec.Writer.string Util.Codec.Writer.string)
-    w t.env;
-  Util.Codec.Writer.list
-    (fun w ti ->
-      Simos.Program.encode_instance w ti.ti_inst;
-      Util.Codec.Writer.option Simos.Program.encode_wait w ti.ti_wait)
-    w t.threads;
-  Mem.Address_space.encode w t.space;
-  Util.Codec.Writer.list (Util.Codec.Writer.pair Util.Codec.Writer.uvarint encode_sigaction) w
-    t.sigtable;
-  Util.Codec.Writer.list Util.Codec.Writer.uvarint w t.pending_signals;
-  Util.Codec.Writer.contents w
-
-let decode_body s =
-  let r = Util.Codec.Reader.of_string s in
-  let cmdline = Util.Codec.Reader.list Util.Codec.Reader.string r in
-  let env =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.string Util.Codec.Reader.string)
-      r
-  in
-  let threads =
-    Util.Codec.Reader.list
-      (fun r ->
-        let ti_inst = Simos.Program.decode_instance r in
-        let ti_wait = Util.Codec.Reader.option Simos.Program.decode_wait r in
-        { ti_inst; ti_wait })
-      r
-  in
-  let space = Mem.Address_space.decode r in
-  let sigtable =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.uvarint decode_sigaction)
-      r
-  in
-  let pending_signals = Util.Codec.Reader.list Util.Codec.Reader.uvarint r in
-  Util.Codec.Reader.expect_end r;
-  { cmdline; env; threads; space; sigtable; pending_signals }
+  let w = W.create ~capacity:4096 () in
+  C.write body_codec w t;
+  W.contents w
 
 let encode ~algo t = Compress.Container.pack ~algo (encode_body t)
-let decode s = decode_body (Compress.Container.unpack s)
+let decode s = C.of_string body_codec (Compress.Container.unpack s)
 
 (* ---------------- incremental delta images ---------------- *)
 
@@ -196,49 +184,42 @@ let delta_pages t =
     0
     (Mem.Address_space.regions t.space)
 
-(* A delta body mirrors [encode_body] except for the address space: the
+(* A delta body mirrors [body_codec] except for the address space: the
    skeleton (allocation cursor plus each region's identity and shape) is
    stored in full, and each page is either inline (tag 1, dirty since the
    base snapshot) or a reference to the base image's page at the same
    region id and index (tag 0).  Regions created after the base snapshot
    are born all-dirty, so tag 0 never points outside the base. *)
 let encode_delta_body t =
-  let w = Util.Codec.Writer.create ~capacity:4096 () in
-  Util.Codec.Writer.raw w delta_magic;
-  Util.Codec.Writer.list Util.Codec.Writer.string w t.cmdline;
-  Util.Codec.Writer.list
-    (Util.Codec.Writer.pair Util.Codec.Writer.string Util.Codec.Writer.string)
-    w t.env;
-  Util.Codec.Writer.list
-    (fun w ti ->
-      Simos.Program.encode_instance w ti.ti_inst;
-      Util.Codec.Writer.option Simos.Program.encode_wait w ti.ti_wait)
-    w t.threads;
-  Util.Codec.Writer.uvarint w (Mem.Address_space.next_addr t.space);
-  Util.Codec.Writer.uvarint w (Mem.Address_space.next_region_id t.space);
-  Util.Codec.Writer.list
+  let w = W.create ~capacity:4096 () in
+  W.raw w delta_magic;
+  C.write cmdline_codec w t.cmdline;
+  C.write env_codec w t.env;
+  C.write threads_codec w t.threads;
+  W.uvarint w (Mem.Address_space.next_addr t.space);
+  W.uvarint w (Mem.Address_space.next_region_id t.space);
+  W.list
     (fun w (r : Mem.Region.t) ->
-      Util.Codec.Writer.uvarint w r.Mem.Region.id;
-      Util.Codec.Writer.uvarint w r.Mem.Region.start_addr;
-      Mem.Region.encode_kind w r.Mem.Region.kind;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.read;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.write;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.exec;
-      Util.Codec.Writer.uvarint w (Mem.Region.npages r);
+      W.uvarint w r.Mem.Region.id;
+      W.uvarint w r.Mem.Region.start_addr;
+      C.write Mem.Region.kind_codec w r.Mem.Region.kind;
+      W.bool w r.Mem.Region.perms.Mem.Region.read;
+      W.bool w r.Mem.Region.perms.Mem.Region.write;
+      W.bool w r.Mem.Region.perms.Mem.Region.exec;
+      W.uvarint w (Mem.Region.npages r);
       Array.iteri
         (fun idx page ->
           if page_inline r idx then begin
-            Util.Codec.Writer.u8 w 1;
-            Mem.Page.encode w page
+            W.u8 w 1;
+            C.write Mem.Page.codec w page
           end
-          else Util.Codec.Writer.u8 w 0)
+          else W.u8 w 0)
         r.Mem.Region.pages)
     w
     (Mem.Address_space.regions t.space);
-  Util.Codec.Writer.list (Util.Codec.Writer.pair Util.Codec.Writer.uvarint encode_sigaction) w
-    t.sigtable;
-  Util.Codec.Writer.list Util.Codec.Writer.uvarint w t.pending_signals;
-  Util.Codec.Writer.contents w
+  C.write sigtable_codec w t.sigtable;
+  C.write pending_codec w t.pending_signals;
+  W.contents w
 
 let encode_delta ~algo t = Compress.Container.pack ~algo (encode_delta_body t)
 
@@ -251,42 +232,30 @@ let is_delta s =
 
 let apply_delta ~base s =
   let body = Compress.Container.unpack s in
-  let r = Util.Codec.Reader.of_string body in
-  let magic = Util.Codec.Reader.raw r (String.length delta_magic) in
-  if magic <> delta_magic then
-    raise (Util.Codec.Reader.Corrupt "not an MTCPD1 delta image");
+  let r = R.of_string body in
+  let magic = R.raw r (String.length delta_magic) in
+  if magic <> delta_magic then raise (R.Corrupt "not an MTCPD1 delta image");
   let base_regions =
     List.fold_left
       (fun acc (br : Mem.Region.t) -> (br.Mem.Region.id, br) :: acc)
       []
       (Mem.Address_space.regions base.space)
   in
-  let cmdline = Util.Codec.Reader.list Util.Codec.Reader.string r in
-  let env =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.string Util.Codec.Reader.string)
-      r
-  in
-  let threads =
-    Util.Codec.Reader.list
-      (fun r ->
-        let ti_inst = Simos.Program.decode_instance r in
-        let ti_wait = Util.Codec.Reader.option Simos.Program.decode_wait r in
-        { ti_inst; ti_wait })
-      r
-  in
-  let next_addr = Util.Codec.Reader.uvarint r in
-  let next_region_id = Util.Codec.Reader.uvarint r in
+  let cmdline = C.read cmdline_codec r in
+  let env = C.read env_codec r in
+  let threads = C.read threads_codec r in
+  let next_addr = R.uvarint r in
+  let next_region_id = R.uvarint r in
   let regions =
-    Util.Codec.Reader.list
+    R.list
       (fun r ->
-        let id = Util.Codec.Reader.uvarint r in
-        let start_addr = Util.Codec.Reader.uvarint r in
-        let kind = Mem.Region.decode_kind r in
-        let read = Util.Codec.Reader.bool r in
-        let write = Util.Codec.Reader.bool r in
-        let exec = Util.Codec.Reader.bool r in
-        let npages = Util.Codec.Reader.uvarint r in
+        let id = R.uvarint r in
+        let start_addr = R.uvarint r in
+        let kind = C.read Mem.Region.kind_codec r in
+        let read = R.bool r in
+        let write = R.bool r in
+        let exec = R.bool r in
+        let npages = R.uvarint r in
         let base_pages =
           match List.assoc_opt id base_regions with
           | Some br -> br.Mem.Region.pages
@@ -294,16 +263,14 @@ let apply_delta ~base s =
         in
         let pages =
           Array.init npages (fun idx ->
-              match Util.Codec.Reader.u8 r with
-              | 1 -> Mem.Page.decode r
+              match R.u8 r with
+              | 1 -> C.read Mem.Page.codec r
               | 0 ->
                 if idx < Array.length base_pages then base_pages.(idx)
                 else
                   raise
-                    (Util.Codec.Reader.Corrupt
-                       (Printf.sprintf "delta references missing base page %d/%d" id idx))
-              | n ->
-                raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad delta page tag %d" n)))
+                    (R.Corrupt (Printf.sprintf "delta references missing base page %d/%d" id idx))
+              | n -> raise (R.Corrupt (Printf.sprintf "bad delta page tag %d" n)))
         in
         {
           Mem.Region.id;
@@ -316,13 +283,9 @@ let apply_delta ~base s =
         })
       r
   in
-  let sigtable =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.uvarint decode_sigaction)
-      r
-  in
-  let pending_signals = Util.Codec.Reader.list Util.Codec.Reader.uvarint r in
-  Util.Codec.Reader.expect_end r;
+  let sigtable = C.read sigtable_codec r in
+  let pending_signals = C.read pending_codec r in
+  R.expect_end r;
   {
     cmdline;
     env;
@@ -342,10 +305,7 @@ let restore_threads kernel (proc : Simos.Kernel.process) t =
     (fun ti -> ignore (Simos.Kernel.add_thread kernel proc ~inst:ti.ti_inst ?blocked:ti.ti_wait ()))
     t.threads
 
-let instance_bytes inst =
-  let w = Util.Codec.Writer.create () in
-  Simos.Program.encode_instance w inst;
-  Util.Codec.Writer.contents w
+let instance_bytes = C.to_string Simos.Program.instance_codec
 
 let equal a b =
   a.cmdline = b.cmdline && a.env = b.env && a.sigtable = b.sigtable

@@ -1,4 +1,3 @@
-module W = Util.Codec.Writer
 
 let prog_name = "mpi:proxy"
 
@@ -34,8 +33,7 @@ module P = struct
 
   (* Proxies are never checkpointed; the codec exists only to satisfy
      the program interface and restores to a cold boot. *)
-  let encode w _ = W.u8 w 0
-  let decode _ = D_boot
+  let codec = Util.Codec.(map u8 (fun _ -> D_boot) (fun _ -> 0))
   let init ~argv:_ = D_boot
 
   let job_args (ctx : Simos.Program.ctx) =

@@ -12,5 +12,4 @@ type t =
 val host_of : t -> host
 val to_string : t -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+val codec : t Util.Codec.t

@@ -69,8 +69,7 @@ module type S = sig
   type state
 
   val name : string
-  val encode : Util.Codec.Writer.t -> state -> unit
-  val decode : Util.Codec.Reader.t -> state
+  val codec : state Util.Codec.t
   val init : argv:string list -> state
   val step : ctx -> state -> state outcome
 end
@@ -125,44 +124,38 @@ let instantiate ~name ~argv =
   | None -> raise Not_found
   | Some (module P) -> Instance { prog = (module P); st = P.init ~argv }
 
-let encode_instance w (Instance { prog = (module P); st }) =
-  Util.Codec.Writer.string w P.name;
-  let body = Util.Codec.Writer.create () in
-  P.encode body st;
-  Util.Codec.Writer.string w (Util.Codec.Writer.contents body)
+(* (name, state body): the body is a string of its own, read back
+   strictly, so a state codec that reads less than it wrote fails here
+   instead of restoring a silently wrong state *)
+let instance_codec =
+  Util.Codec.v
+    (fun w (Instance { prog = (module P); st }) ->
+      Util.Codec.Writer.string w P.name;
+      Util.Codec.Writer.string w (Util.Codec.to_string P.codec st))
+    (fun r ->
+      let name = Util.Codec.Reader.string r in
+      let body = Util.Codec.Reader.string r in
+      match Hashtbl.find_opt registry name with
+      | None -> raise Not_found
+      | Some (module P) -> Instance { prog = (module P); st = Util.Codec.of_string P.codec body })
 
-let decode_instance r =
-  let name = Util.Codec.Reader.string r in
-  let body = Util.Codec.Reader.string r in
-  match Hashtbl.find_opt registry name with
-  | None -> raise Not_found
-  | Some (module P) ->
-    let br = Util.Codec.Reader.of_string body in
-    let st = P.decode br in
-    Instance { prog = (module P); st }
+let not_checkpointable name =
+  let fail _ = failwith (name ^ " is not checkpointable") in
+  Util.Codec.v (fun _ -> fail) fail
 
-let encode_wait w = function
-  | Readable fd ->
-    Util.Codec.Writer.u8 w 0;
-    Util.Codec.Writer.uvarint w fd
-  | Readable_any fds ->
-    Util.Codec.Writer.u8 w 5;
-    Util.Codec.Writer.list Util.Codec.Writer.uvarint w fds
-  | Writable fd ->
-    Util.Codec.Writer.u8 w 1;
-    Util.Codec.Writer.uvarint w fd
-  | Sleep_until t ->
-    Util.Codec.Writer.u8 w 2;
-    Util.Codec.Writer.f64 w t
-  | Child -> Util.Codec.Writer.u8 w 3
-  | Stopped -> Util.Codec.Writer.u8 w 4
-
-let decode_wait r =
-  match Util.Codec.Reader.u8 r with
-  | 0 -> Readable (Util.Codec.Reader.uvarint r)
-  | 1 -> Writable (Util.Codec.Reader.uvarint r)
-  | 2 -> Sleep_until (Util.Codec.Reader.f64 r)
-  | 3 -> Child
-  | 4 -> Stopped
-  | 5 -> Readable_any (Util.Codec.Reader.list Util.Codec.Reader.uvarint r)
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad wait tag %d" n))
+let wait_codec =
+  Util.Codec.(
+    variant "wait" (fun readable writable sleep child stopped any w -> function
+      | Readable fd -> readable w fd
+      | Writable fd -> writable w fd
+      | Sleep_until t -> sleep w t
+      | Child -> child w
+      | Stopped -> stopped w
+      | Readable_any fds -> any w fds)
+    |> case 0 [ uvarint ] (fun fd -> Readable fd)
+    |> case 1 [ uvarint ] (fun fd -> Writable fd)
+    |> case 2 [ f64 ] (fun t -> Sleep_until t)
+    |> case 3 [] Child
+    |> case 4 [] Stopped
+    |> case 5 [ list uvarint ] (fun fds -> Readable_any fds)
+    |> sealv)

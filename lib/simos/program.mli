@@ -108,8 +108,9 @@ module type S = sig
   type state
 
   val name : string
-  val encode : Util.Codec.Writer.t -> state -> unit
-  val decode : Util.Codec.Reader.t -> state
+
+  (** The whole state, both ways (see {!Util.Codec}). *)
+  val codec : state Util.Codec.t
 
   (** Initial state from the command line (pure; do syscalls in the first
       [step]). *)
@@ -149,11 +150,14 @@ val registered_names : unit -> string list
     Raises [Not_found] for unknown programs. *)
 val instantiate : name:string -> argv:string list -> instance
 
-(** Serialize an instance as (name, state blob). *)
-val encode_instance : Util.Codec.Writer.t -> instance -> unit
+(** An instance as (name, state blob).  Reading rebuilds it from the
+    registry, raising [Not_found] for unknown names, and raises
+    {!Util.Codec.Reader.Corrupt} unless the state codec consumes the
+    whole blob. *)
+val instance_codec : instance Util.Codec.t
 
-(** Rebuild from the registry. Raises [Not_found] for unknown names. *)
-val decode_instance : Util.Codec.Reader.t -> instance
+val wait_codec : wait Util.Codec.t
 
-val encode_wait : Util.Codec.Writer.t -> wait -> unit
-val decode_wait : Util.Codec.Reader.t -> wait
+(** The codec of the program [name] that is never checkpointed: both
+    halves raise [Failure "<name> is not checkpointable"]. *)
+val not_checkpointable : string -> 'a Util.Codec.t

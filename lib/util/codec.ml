@@ -29,7 +29,9 @@ module Writer = struct
     u16 t v;
     u16 t (v lsr 16)
 
-  let i64 t v =
+  (* [@inline] on the fixed-width forms: a direct loop over keys or
+     floats then writes and reads them without boxing each one *)
+  let[@inline] i64 t v =
     ensure t 8;
     Bytes.set_int64_le t.buf t.len v;
     t.len <- t.len + 8
@@ -51,7 +53,7 @@ module Writer = struct
     (* zigzag *)
     uvarint_raw t ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
-  let f64 t v = i64 t (Int64.bits_of_float v)
+  let[@inline] f64 t v = i64 t (Int64.bits_of_float v)
   let bool t v = u8 t (if v then 1 else 0)
 
   let raw t s =
@@ -124,7 +126,7 @@ module Reader = struct
     let b = u16 t in
     a lor (b lsl 16)
 
-  let i64 t =
+  let[@inline] i64 t =
     need t 8;
     let v = String.get_int64_le t.src t.pos in
     t.pos <- t.pos + 8;
@@ -143,7 +145,7 @@ module Reader = struct
     let v = uvarint t in
     (v lsr 1) lxor (-(v land 1))
 
-  let f64 t = Int64.float_of_bits (i64 t)
+  let[@inline] f64 t = Int64.float_of_bits (i64 t)
 
   let bool t =
     match u8 t with
@@ -169,8 +171,11 @@ module Reader = struct
     let n = uvarint t in
     List.init n (fun _ -> dec t)
 
+  (* every element takes at least one byte, so a count above the bytes
+     left is corrupt: refuse it before [Array.init] allocates [n] slots *)
   let array dec t =
     let n = uvarint t in
+    if n > remaining t then corrupt "array count %d exceeds the %d bytes left" n (remaining t);
     Array.init n (fun _ -> dec t)
 
   let pair dec_a dec_b t =
@@ -181,10 +186,167 @@ module Reader = struct
   let expect_end t = if remaining t <> 0 then corrupt "%d trailing bytes" (remaining t)
 end
 
-let roundtrip enc dec v =
+type 'a t = { write : Writer.t -> 'a -> unit; read : Reader.t -> 'a }
+
+let v write read = { write; read }
+let write c = c.write
+let read c = c.read
+
+let u8 = v Writer.u8 Reader.u8
+let uvarint = v Writer.uvarint Reader.uvarint
+let varint = v Writer.varint Reader.varint
+let i64 = v Writer.i64 Reader.i64
+let f64 = v Writer.f64 Reader.f64
+let bool = v Writer.bool Reader.bool
+let string = v Writer.string Reader.string
+let char = v (fun w c -> Writer.u8 w (Char.code c)) (fun r -> Char.chr (Reader.u8 r))
+let option c = v (Writer.option c.write) (Reader.option c.read)
+let list c = v (Writer.list c.write) (Reader.list c.read)
+let array c = v (Writer.array c.write) (Reader.array c.read)
+let pair a b = v (Writer.pair a.write b.write) (Reader.pair a.read b.read)
+
+let triple a b c =
+  v
+    (fun w (x, y, z) ->
+      a.write w x;
+      b.write w y;
+      c.write w z)
+    (fun r ->
+      let x = a.read r in
+      let y = b.read r in
+      let z = c.read r in
+      (x, y, z))
+let map c of_ to_ = v (fun w x -> c.write w (to_ x)) (fun r -> of_ (c.read r))
+
+type ('r, 'k) fields = { fwrite : Writer.t -> 'r -> unit; fread : Reader.t -> 'k }
+
+let record k = { fwrite = (fun _ _ -> ()); fread = (fun _ -> k) }
+
+let field c get o =
+  {
+    fwrite =
+      (fun w x ->
+        o.fwrite w x;
+        c.write w (get x));
+    fread =
+      (fun r ->
+        let k = o.fread r in
+        let a = c.read r in
+        k a);
+  }
+
+let seal o = { write = o.fwrite; read = o.fread }
+
+type ('w, 'k, 'v) args =
+  | [] : (unit, 'v, 'v) args
+  | ( :: ) : 'a t * ('w, 'k, 'v) args -> ('a -> 'w, 'a -> 'k, 'v) args
+
+let rec write_args : type w k v. (w, k, v) args -> Writer.t -> w =
+ fun args w ->
+  match args with
+  | [] -> ()
+  | c :: rest ->
+    fun x ->
+      c.write w x;
+      write_args rest w
+
+let rec read_args : type w k v. (w, k, v) args -> Reader.t -> k -> v =
+ fun args r k ->
+  match args with
+  | [] -> k
+  | c :: rest ->
+    let x = c.read r in
+    read_args rest r (k x)
+
+(* The writer (tag, then the values) and the reader of one case.  Up to
+   three values get their own closures, so that writing or reading a
+   case allocates nothing of its own (pages go through here); longer
+   cases take the generic curried path. *)
+let halves : type w k v. int -> (w, k, v) args -> k -> (Writer.t -> w) * (Reader.t -> v) =
+ fun tag args k ->
+  match args with
+  | [] -> ((fun w -> Writer.u8 w tag), fun _ -> k)
+  | [ a ] ->
+    ( (fun w x ->
+        Writer.u8 w tag;
+        a.write w x),
+      fun r -> k (a.read r) )
+  | [ a; b ] ->
+    ( (fun w x y ->
+        Writer.u8 w tag;
+        a.write w x;
+        b.write w y),
+      fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        k x y )
+  | [ a; b; c ] ->
+    ( (fun w x y z ->
+        Writer.u8 w tag;
+        a.write w x;
+        b.write w y;
+        c.write w z),
+      fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        let z = c.read r in
+        k x y z )
+  | _ ->
+    ( (fun w ->
+        Writer.u8 w tag;
+        write_args args w),
+      fun r -> read_args args r k )
+
+type ('v, 'd) cases = { vname : string; dest : 'd; readers : (int * (Reader.t -> 'v)) list }
+
+let variant vname dest = { vname; dest; readers = [] }
+
+let case tag args k cs =
+  if tag < 0 || tag > 0xff || List.mem_assoc tag cs.readers then
+    invalid_arg (Printf.sprintf "Codec.variant %s: bad or duplicate tag %d" cs.vname tag);
+  let write, read = halves tag args k in
+  { cs with dest = cs.dest write; readers = (tag, read) :: cs.readers }
+
+let sealv cs =
+  let table = Array.make 256 None in
+  List.iter (fun (tag, rd) -> table.(tag) <- Some rd) cs.readers;
+  let read r =
+    let tag = Reader.u8 r in
+    match table.(tag) with
+    | Some rd -> rd r
+    | None -> raise (Reader.Corrupt (Printf.sprintf "bad %s tag %d" cs.vname tag))
+  in
+  { write = cs.dest; read }
+
+let enum name values =
+  let n = Array.length values in
+  if n > 0x100 then invalid_arg (Printf.sprintf "Codec.enum %s: %d values" name n);
+  (* a loop, not a local function: pages write their entropy class
+     through here, and a closure per write would allocate *)
+  let write w x =
+    let tag = ref 0 in
+    while !tag < n && values.(!tag) <> x do
+      incr tag
+    done;
+    if !tag = n then invalid_arg (Printf.sprintf "Codec.enum %s: value not listed" name);
+    Writer.u8 w !tag
+  in
+  let read r =
+    let tag = Reader.u8 r in
+    if tag < n then values.(tag)
+    else raise (Reader.Corrupt (Printf.sprintf "bad %s tag %d" name tag))
+  in
+  { write; read }
+
+let to_string c x =
   let w = Writer.create () in
-  enc w v;
-  let r = Reader.of_string (Writer.contents w) in
-  let v' = dec r in
+  c.write w x;
+  Writer.contents w
+
+let of_string c s =
+  let r = Reader.of_string s in
+  let x = c.read r in
   Reader.expect_end r;
-  v'
+  x
+
+let roundtrip c x = of_string c (to_string c x)

@@ -124,13 +124,11 @@ let is_phase_received (img : Mtcp.Image.t) =
   let module R = Util.Codec.Reader in
   match img.Mtcp.Image.threads with
   | [ ti ] ->
-    let w = Util.Codec.Writer.create () in
-    Simos.Program.encode_instance w ti.Mtcp.Image.ti_inst;
-    let r = R.of_string (Util.Codec.Writer.contents w) in
+    let r = R.of_string (Util.Codec.to_string Simos.Program.instance_codec ti.Mtcp.Image.ti_inst) in
     ignore (R.string r);
     let r = R.of_string (R.string r) in
     check Alcotest.int "rank image in the kernel loop" 2 (R.u8 r);
-    ignore (Apps.Mpi.decode r);
+    ignore (Util.Codec.read Apps.Mpi.codec r);
     for _ = 1 to 4 do
       ignore (R.uvarint r)
     done;
@@ -318,14 +316,14 @@ let test_mpi_codec_roundtrip () =
     Apps.Mpi.create ~rank:2 ~size:8 ~base_port:6000 ~ranks_per_node:2 ~neighbors:(ring 8) ()
   in
   Apps.Mpi.send comm ~dst:1 ~tag:'D' "payload-bytes";
-  let comm' = Util.Codec.roundtrip Apps.Mpi.encode Apps.Mpi.decode comm in
+  let comm' = Util.Codec.roundtrip Apps.Mpi.codec comm in
   check Alcotest.int "rank preserved" 2 (Apps.Mpi.rank comm');
   check Alcotest.int "pending bytes preserved" (Apps.Mpi.pending_out comm ~dst:1)
     (Apps.Mpi.pending_out comm' ~dst:1)
 
 let test_coll_codec_roundtrip () =
   let st = Apps.Mpi.Coll.start (Apps.Mpi.Coll.allreduce_sum 3.25) in
-  let st' = Util.Codec.roundtrip Apps.Mpi.Coll.encode Apps.Mpi.Coll.decode st in
+  let st' = Util.Codec.roundtrip Apps.Mpi.Coll.codec st in
   ignore st';
   ()
 
@@ -348,9 +346,18 @@ let test_parse_rank_args () =
 
 let test_notify_codec () =
   let n = Apps.Launchers.notify_start ~host:3 ~port:6099 in
-  let n' = Util.Codec.roundtrip Apps.Launchers.encode_notify Apps.Launchers.decode_notify n in
+  let n' = Util.Codec.roundtrip Apps.Launchers.notify_codec n in
   ignore n';
   ()
+
+(* a program state whose variant tag names no constructor is corrupt,
+   not silently read as the last constructor *)
+let test_nas_unknown_state_tag () =
+  let w = Util.Codec.Writer.create () in
+  Util.Codec.Writer.string w "nas:is";
+  Util.Codec.Writer.string w "\009";
+  Alcotest.check_raises "tag 9" (Util.Codec.Reader.Corrupt "bad nas:is tag 9") (fun () ->
+      ignore (Util.Codec.of_string Simos.Program.instance_codec (Util.Codec.Writer.contents w)))
 
 let test_nas_catalog_complete () =
   check Alcotest.int "eight kernels" 8 (List.length Apps.Nas.catalog);
@@ -399,12 +406,8 @@ let prop_codec_as_floats =
       let w = W.create () in
       W.uvarint w (Array.length keys);
       Array.iter (W.f64 w) (Array.map float_of_int keys);
-      let w' = W.create () in
-      Apps.Nas.Is_keys.encode w' keys;
-      let bytes = W.contents w' in
-      let r = Util.Codec.Reader.of_string bytes in
-      let back = Apps.Nas.Is_keys.decode r in
-      Util.Codec.Reader.expect_end r;
+      let bytes = Util.Codec.to_string Apps.Nas.Is_keys.codec keys in
+      let back = Util.Codec.of_string Apps.Nas.Is_keys.codec bytes in
       bytes = W.contents w && back = keys)
 
 let () =
@@ -418,6 +421,7 @@ let () =
           Alcotest.test_case "rank argv" `Quick test_parse_rank_args;
           Alcotest.test_case "notify codec" `Quick test_notify_codec;
           Alcotest.test_case "nas catalog" `Quick test_nas_catalog_complete;
+          Alcotest.test_case "nas state tag" `Quick test_nas_unknown_state_tag;
         ] );
       ("is keys", [ prop_partition_as_cons_lists; prop_sort_as_array_sort; prop_codec_as_floats ]);
       ( "kernels",

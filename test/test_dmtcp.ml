@@ -456,9 +456,7 @@ let test_restart_script_roundtrip () =
     { Dmtcp.Restart_script.coord_host = 3; coord_port = 7779;
       entries = [ (0, [ "/ckpt/a" ]); (5, [ "/ckpt/b"; "/ckpt/c" ]) ] }
   in
-  let script' =
-    Util.Codec.roundtrip Dmtcp.Restart_script.encode Dmtcp.Restart_script.decode script
-  in
+  let script' = Util.Codec.roundtrip Dmtcp.Restart_script.codec script in
   Alcotest.(check bool) "script round-trips" true (script = script');
   let merged = Dmtcp.Restart_script.remap script (fun _ -> 1) in
   check Alcotest.int "remap merges hosts" 1 (List.length merged.Dmtcp.Restart_script.entries);
@@ -481,7 +479,7 @@ let test_conn_table_roundtrip () =
   Dmtcp.Conn_table.add t ~fd:3 (entry 3 Dmtcp.Conn_table.Connector);
   Dmtcp.Conn_table.add t ~fd:4 (entry 4 Dmtcp.Conn_table.Acceptor);
   Dmtcp.Conn_table.add t ~fd:5 (entry 5 Dmtcp.Conn_table.Pair_a);
-  let t' = Util.Codec.roundtrip Dmtcp.Conn_table.encode Dmtcp.Conn_table.decode t in
+  let t' = Util.Codec.roundtrip Dmtcp.Conn_table.codec t in
   check Alcotest.int "entries preserved" 3 (List.length (Dmtcp.Conn_table.entries t'));
   (match Dmtcp.Conn_table.find t' ~fd:4 with
   | Some e ->
@@ -620,6 +618,61 @@ let test_corrupt_image_decode_rejected () =
   rejects "truncation" (String.sub bytes 0 (String.length bytes - 3));
   rejects "empty" ""
 
+(* A program state body with one byte more than its codec reads is
+   corrupt: the instance codec rejects it, and an image carrying it
+   fails [Ckpt_image.mtcp] as [Corrupt_image] (restart's exit-72 path). *)
+let test_state_trailing_byte_rejected () =
+  let cl, rt = make () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/tb" ] in
+  run_for cl 0.5;
+  Dmtcp.Api.checkpoint_now rt;
+  let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+  let img =
+    match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
+    | Some f -> Dmtcp.Ckpt_image.decode (Simos.Vfs.read_all f)
+    | None -> Alcotest.fail "image missing"
+  in
+  let inst = (List.hd (Dmtcp.Ckpt_image.mtcp img).Mtcp.Image.threads).Mtcp.Image.ti_inst in
+  let instance_bytes body =
+    let w = Util.Codec.Writer.create () in
+    Util.Codec.Writer.string w (Simos.Program.name_of inst);
+    Util.Codec.Writer.string w body;
+    Util.Codec.Writer.contents w
+  in
+  let good = Util.Codec.to_string Simos.Program.instance_codec inst in
+  let r = Util.Codec.Reader.of_string good in
+  ignore (Util.Codec.Reader.string r);
+  let body = Util.Codec.Reader.string r in
+  check Alcotest.string "instance = (name, body)" good (instance_bytes body);
+  let bad = instance_bytes (body ^ "\000") in
+  Alcotest.check_raises "instance codec" (Util.Codec.Reader.Corrupt "1 trailing bytes") (fun () ->
+      ignore (Util.Codec.of_string Simos.Program.instance_codec bad));
+  (* splice the padded instance into the image's MTCP body *)
+  let mtcp_body = Compress.Container.unpack img.Dmtcp.Ckpt_image.mtcp_blob in
+  let at =
+    let n = String.length good in
+    let rec find i =
+      if i + n > String.length mtcp_body then Alcotest.fail "instance not in the MTCP body"
+      else if String.sub mtcp_body i n = good then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let spliced =
+    String.sub mtcp_body 0 at ^ bad
+    ^ String.sub mtcp_body (at + String.length good)
+        (String.length mtcp_body - at - String.length good)
+  in
+  let img' =
+    {
+      img with
+      Dmtcp.Ckpt_image.mtcp_blob = Compress.Container.pack ~algo:Compress.Algo.Null spliced;
+    }
+  in
+  match Dmtcp.Ckpt_image.mtcp img' with
+  | _ -> Alcotest.fail "image with a padded state body accepted"
+  | exception Dmtcp.Ckpt_image.Corrupt_image _ -> ()
+
 let test_restart_with_corrupt_image_fails_cleanly () =
   (* the restarter must refuse a damaged image set: no half-restored
      computation, no unhandled exception *)
@@ -734,6 +787,7 @@ let failure_suites =
         Alcotest.test_case "port taken on restart host" `Quick test_listener_port_taken_on_restart_host;
         Alcotest.test_case "kill mid-checkpoint" `Quick test_kill_mid_checkpoint_recovers;
         Alcotest.test_case "corrupt image rejected" `Quick test_corrupt_image_decode_rejected;
+        Alcotest.test_case "state trailing byte rejected" `Quick test_state_trailing_byte_rejected;
         Alcotest.test_case "corrupt image fails restart cleanly" `Quick
           test_restart_with_corrupt_image_fails_cleanly;
         Alcotest.test_case "listen backlog captured/restored" `Quick
@@ -852,13 +906,13 @@ let test_options_env_roundtrip () =
 
 let test_upid_conn_id_codecs () =
   let upid = Dmtcp.Upid.make ~hostid:3 ~pid:204 ~generation:2 in
-  let upid' = Util.Codec.roundtrip Dmtcp.Upid.encode Dmtcp.Upid.decode upid in
+  let upid' = Util.Codec.roundtrip Dmtcp.Upid.codec upid in
   Alcotest.(check bool) "upid round-trips" true (upid = upid');
   check Alcotest.string "upid string" "3-204-g2" (Dmtcp.Upid.to_string upid);
   Alcotest.(check bool) "generation bumps" true
     ((Dmtcp.Upid.next_generation upid).Dmtcp.Upid.generation = 3);
   let cid = Dmtcp.Conn_id.make ~hostid:1 ~pid:55 ~timestamp:0.125 ~seq:9 in
-  let cid' = Util.Codec.roundtrip Dmtcp.Conn_id.encode Dmtcp.Conn_id.decode cid in
+  let cid' = Util.Codec.roundtrip Dmtcp.Conn_id.codec cid in
   Alcotest.(check bool) "conn id round-trips" true (Dmtcp.Conn_id.equal cid cid');
   Alcotest.(check bool) "keys distinguish connections" true
     (Dmtcp.Conn_id.to_key cid

@@ -38,7 +38,7 @@ let test_entropy_ratio_memoized () =
 let test_entropy_codec () =
   List.iter
     (fun cls ->
-      let cls' = Util.Codec.roundtrip Mem.Entropy.encode Mem.Entropy.decode cls in
+      let cls' = Util.Codec.roundtrip Mem.Entropy.codec cls in
       Alcotest.(check bool) (Mem.Entropy.name cls) true (cls = cls'))
     Mem.Entropy.all
 
@@ -64,7 +64,7 @@ let test_page_codec_roundtrip () =
   in
   List.iter
     (fun p ->
-      let p' = Util.Codec.roundtrip Mem.Page.encode Mem.Page.decode p in
+      let p' = Util.Codec.roundtrip Mem.Page.codec p in
       Alcotest.(check bool) "page round-trip" true (p = p'))
     pages
 
@@ -170,7 +170,7 @@ let test_space_zero_accounting () =
 let test_space_codec_roundtrip () =
   let sp, heap = make_space () in
   Mem.Address_space.write sp ~addr:heap.Mem.Region.start_addr "persisted";
-  let sp' = Util.Codec.roundtrip Mem.Address_space.encode Mem.Address_space.decode sp in
+  let sp' = Util.Codec.roundtrip Mem.Address_space.codec sp in
   Alcotest.(check bool) "spaces equal" true (Mem.Address_space.equal sp sp');
   check Alcotest.string "data survives" "persisted"
     (Mem.Address_space.read sp' ~addr:heap.Mem.Region.start_addr ~len:9)
@@ -285,15 +285,11 @@ let test_resident_excluded_from_codec () =
      through the image codec, never affects equality, and a decoded
      region always comes back fully resident *)
   let sp, heap = make_space () in
-  let encoded sp =
-    let w = Util.Codec.Writer.create () in
-    Mem.Address_space.encode w sp;
-    Util.Codec.Writer.contents w
-  in
+  let encoded = Util.Codec.to_string Mem.Address_space.codec in
   let full = encoded sp in
   Mem.Region.mark_all_absent heap;
   check Alcotest.string "encode ignores residency" full (encoded sp);
-  let sp2 = Mem.Address_space.decode (Util.Codec.Reader.of_string full) in
+  let sp2 = Util.Codec.of_string Mem.Address_space.codec full in
   Alcotest.(check bool) "equality ignores residency" true (Mem.Address_space.equal sp sp2);
   check Alcotest.int "decoded space fully resident" (8 + 16)
     (Mem.Address_space.resident_pages sp2)

@@ -78,7 +78,7 @@ let test_proxied_codec_roundtrip () =
       ~transport:Apps.Mpi.Proxied ~neighbors:(ring 8) ()
   in
   Apps.Mpi.send comm ~dst:1 ~tag:'D' "payload-bytes";
-  let comm' = Util.Codec.roundtrip Apps.Mpi.encode Apps.Mpi.decode comm in
+  let comm' = Util.Codec.roundtrip Apps.Mpi.codec comm in
   Alcotest.(check bool) "transport preserved" true
     (Apps.Mpi.transport comm' = Apps.Mpi.Proxied);
   check Alcotest.int "unacked bytes preserved" (Apps.Mpi.pending_out comm ~dst:1)

@@ -465,7 +465,7 @@ let test_discovery_clear () =
 let test_addr_codec () =
   List.iter
     (fun a ->
-      let a' = Util.Codec.roundtrip Simnet.Addr.encode Simnet.Addr.decode a in
+      let a' = Util.Codec.roundtrip Simnet.Addr.codec a in
       Alcotest.(check bool) "addr round-trip" true (a = a'))
     [ Simnet.Addr.Inet { host = 3; port = 65000 }; Simnet.Addr.Unix { host = 0; path = "/tmp/x" } ]
 

@@ -13,16 +13,13 @@ module Counter = struct
 
   let name = "test:counter"
 
-  let encode w st =
-    Util.Codec.Writer.uvarint w st.n;
-    Util.Codec.Writer.uvarint w st.target;
-    Util.Codec.Writer.string w st.out
-
-  let decode r =
-    let n = Util.Codec.Reader.uvarint r in
-    let target = Util.Codec.Reader.uvarint r in
-    let out = Util.Codec.Reader.string r in
-    { n; target; out }
+  let codec =
+    Util.Codec.(
+      record (fun n target out -> { n; target; out })
+      |> field uvarint (fun st -> st.n)
+      |> field uvarint (fun st -> st.target)
+      |> field string (fun st -> st.out)
+      |> seal)
 
   let init ~argv =
     match argv with
@@ -48,18 +45,7 @@ module Forker = struct
 
   let name = "test:forker"
 
-  let encode w = function
-    | Start -> Util.Codec.Writer.u8 w 0
-    | Parent -> Util.Codec.Writer.u8 w 1
-    | Child -> Util.Codec.Writer.u8 w 2
-    | Waiting -> Util.Codec.Writer.u8 w 3
-
-  let decode r =
-    match Util.Codec.Reader.u8 r with
-    | 0 -> Start
-    | 1 -> Parent
-    | 2 -> Child
-    | _ -> Waiting
+  let codec = Util.Codec.enum name [| Start; Parent; Child; Waiting |]
 
   let init ~argv:_ = Start
 
@@ -83,8 +69,7 @@ module Execer = struct
   type state = unit
 
   let name = "test:execer"
-  let encode _ () = ()
-  let decode _ = ()
+  let codec = Util.Codec.(record () |> seal)
   let init ~argv:_ = ()
 
   let step (_ : Simos.Program.ctx) () =
@@ -100,22 +85,16 @@ module Echo_server = struct
 
   let name = "test:echo-server"
 
-  let encode w = function
-    | Boot p ->
-      Util.Codec.Writer.u8 w 0;
-      Util.Codec.Writer.uvarint w p
-    | Accepting fd ->
-      Util.Codec.Writer.u8 w 1;
-      Util.Codec.Writer.uvarint w fd
-    | Echoing fd ->
-      Util.Codec.Writer.u8 w 2;
-      Util.Codec.Writer.uvarint w fd
-
-  let decode r =
-    match Util.Codec.Reader.u8 r with
-    | 0 -> Boot (Util.Codec.Reader.uvarint r)
-    | 1 -> Accepting (Util.Codec.Reader.uvarint r)
-    | _ -> Echoing (Util.Codec.Reader.uvarint r)
+  let codec =
+    Util.Codec.(
+      variant name (fun boot accepting echoing w -> function
+        | Boot p -> boot w p
+        | Accepting fd -> accepting w fd
+        | Echoing fd -> echoing w fd)
+      |> case 0 [ uvarint ] (fun p -> Boot p)
+      |> case 1 [ uvarint ] (fun fd -> Accepting fd)
+      |> case 2 [ uvarint ] (fun fd -> Echoing fd)
+      |> sealv)
 
   let init ~argv = match argv with [ p ] -> Boot (int_of_string p) | _ -> Boot 7000
 
@@ -154,44 +133,20 @@ module Echo_client = struct
 
   let name = "test:echo-client"
 
-  let encode w = function
-    | Boot { host; port; msg; out } ->
-      Util.Codec.Writer.u8 w 0;
-      Util.Codec.Writer.uvarint w host;
-      Util.Codec.Writer.uvarint w port;
-      Util.Codec.Writer.string w msg;
-      Util.Codec.Writer.string w out
-    | Connecting { fd; msg; out } ->
-      Util.Codec.Writer.u8 w 1;
-      Util.Codec.Writer.uvarint w fd;
-      Util.Codec.Writer.string w msg;
-      Util.Codec.Writer.string w out
-    | Reading { fd; expect; got; out } ->
-      Util.Codec.Writer.u8 w 2;
-      Util.Codec.Writer.uvarint w fd;
-      Util.Codec.Writer.uvarint w expect;
-      Util.Codec.Writer.string w got;
-      Util.Codec.Writer.string w out
-
-  let decode r =
-    match Util.Codec.Reader.u8 r with
-    | 0 ->
-      let host = Util.Codec.Reader.uvarint r in
-      let port = Util.Codec.Reader.uvarint r in
-      let msg = Util.Codec.Reader.string r in
-      let out = Util.Codec.Reader.string r in
-      Boot { host; port; msg; out }
-    | 1 ->
-      let fd = Util.Codec.Reader.uvarint r in
-      let msg = Util.Codec.Reader.string r in
-      let out = Util.Codec.Reader.string r in
-      Connecting { fd; msg; out }
-    | _ ->
-      let fd = Util.Codec.Reader.uvarint r in
-      let expect = Util.Codec.Reader.uvarint r in
-      let got = Util.Codec.Reader.string r in
-      let out = Util.Codec.Reader.string r in
-      Reading { fd; expect; got; out }
+  let codec =
+    Util.Codec.(
+      variant name (fun boot connecting reading w -> function
+        | Boot { host; port; msg; out } -> boot w host port msg out
+        | Connecting { fd; msg; out } -> connecting w fd msg out
+        | Reading { fd; expect; got; out } -> reading w fd expect got out)
+      |> case 0
+           [ uvarint; uvarint; string; string ]
+           (fun host port msg out -> Boot { host; port; msg; out })
+      |> case 1 [ uvarint; string; string ] (fun fd msg out -> Connecting { fd; msg; out })
+      |> case 2
+           [ uvarint; uvarint; string; string ]
+           (fun fd expect got out -> Reading { fd; expect; got; out })
+      |> sealv)
 
   let init ~argv =
     match argv with
@@ -242,20 +197,14 @@ module Pipe_self = struct
 
   let name = "test:pipe-self"
 
-  let encode w = function
-    | Start -> Util.Codec.Writer.u8 w 0
-    | Read { rfd; acc } ->
-      Util.Codec.Writer.u8 w 1;
-      Util.Codec.Writer.uvarint w rfd;
-      Util.Codec.Writer.string w acc
-
-  let decode r =
-    match Util.Codec.Reader.u8 r with
-    | 0 -> Start
-    | _ ->
-      let rfd = Util.Codec.Reader.uvarint r in
-      let acc = Util.Codec.Reader.string r in
-      Read { rfd; acc }
+  let codec =
+    Util.Codec.(
+      variant name (fun start read w -> function
+        | Start -> start w
+        | Read { rfd; acc } -> read w rfd acc)
+      |> case 0 [] Start
+      |> case 1 [ uvarint; string ] (fun rfd acc -> Read { rfd; acc })
+      |> sealv)
 
   let init ~argv:_ = Start
 
@@ -286,16 +235,12 @@ module Sleeper = struct
 
   let name = "test:sleeper"
 
-  let encode w = function
-    | Start d ->
-      Util.Codec.Writer.u8 w 0;
-      Util.Codec.Writer.f64 w d
-    | Done -> Util.Codec.Writer.u8 w 1
-
-  let decode r =
-    match Util.Codec.Reader.u8 r with
-    | 0 -> Start (Util.Codec.Reader.f64 r)
-    | _ -> Done
+  let codec =
+    Util.Codec.(
+      variant name (fun start done_ w -> function Start d -> start w d | Done -> done_ w)
+      |> case 0 [ f64 ] (fun d -> Start d)
+      |> case 1 [] Done
+      |> sealv)
 
   let init ~argv = match argv with [ d ] -> Start (float_of_string d) | _ -> Start 1.0
 
@@ -425,8 +370,7 @@ let test_ssh_spawn () =
     type state = unit
 
     let name = "test:ssher"
-    let encode _ () = ()
-    let decode _ = ()
+    let codec = Util.Codec.(record () |> seal)
     let init ~argv:_ = ()
 
     let step (ctx : Simos.Program.ctx) () =
@@ -443,10 +387,7 @@ let test_ssh_spawn () =
 
 let test_program_registry_roundtrip () =
   let inst = Simos.Program.instantiate ~name:"test:counter" ~argv:[ "9"; "/x" ] in
-  let w = Util.Codec.Writer.create () in
-  Simos.Program.encode_instance w inst;
-  let r = Util.Codec.Reader.of_string (Util.Codec.Writer.contents w) in
-  let inst' = Simos.Program.decode_instance r in
+  let inst' = Util.Codec.roundtrip Simos.Program.instance_codec inst in
   check Alcotest.string "program name preserved" "test:counter" (Simos.Program.name_of inst')
 
 let test_program_duplicate_registration_rejected () =
@@ -538,8 +479,7 @@ let test_fd_sharing_after_dup () =
     type state = unit
 
     let name = "test:duper"
-    let encode _ () = ()
-    let decode _ = ()
+    let codec = Util.Codec.(record () |> seal)
     let init ~argv:_ = ()
 
     let step (ctx : Simos.Program.ctx) () =
@@ -564,8 +504,7 @@ let test_env_inherited_across_ssh () =
     type state = unit
 
     let name = "test:env-ssher"
-    let encode _ () = ()
-    let decode _ = ()
+    let codec = Util.Codec.(record () |> seal)
     let init ~argv:_ = ()
 
     let step (ctx : Simos.Program.ctx) () =
@@ -576,8 +515,7 @@ let test_env_inherited_across_ssh () =
     type state = unit
 
     let name = "test:env-reader"
-    let encode _ () = ()
-    let decode _ = ()
+    let codec = Util.Codec.(record () |> seal)
     let init ~argv:_ = ()
 
     let step (ctx : Simos.Program.ctx) () =
@@ -605,8 +543,7 @@ let test_exec_preserves_env_hijack () =
     type state = bool  (* execed? *)
 
     let name = "test:hijack-exec"
-    let encode w b = Util.Codec.Writer.bool w b
-    let decode r = Util.Codec.Reader.bool r
+    let codec = Util.Codec.bool
     let init ~argv:_ = false
 
     let step (ctx : Simos.Program.ctx) execed =

@@ -119,38 +119,150 @@ let test_codec_uvarint_negative () =
     (fun () -> Codec.Writer.uvarint w (-1))
 
 let test_codec_containers () =
-  let enc w (a, bs, c) =
-    Codec.Writer.varint w a;
-    Codec.Writer.list Codec.Writer.string w bs;
-    Codec.Writer.option Codec.Writer.f64 w c
-  in
-  let dec r =
-    let a = Codec.Reader.varint r in
-    let bs = Codec.Reader.list Codec.Reader.string r in
-    let c = Codec.Reader.option Codec.Reader.f64 r in
-    (a, bs, c)
-  in
+  let c = Codec.(triple varint (list string) (option f64)) in
   let v = (-77, [ "a"; ""; "xyz" ], Some 2.5) in
-  let v' = Codec.roundtrip enc dec v in
+  let v' = Codec.roundtrip c v in
   Alcotest.(check bool) "containers round-trip" true (v = v')
 
 let prop_varint_roundtrip =
-  qtest "varint round-trip" QCheck.(int) (fun v ->
-      Codec.roundtrip Codec.Writer.varint Codec.Reader.varint v = v)
+  qtest "varint round-trip" QCheck.(int) (fun v -> Codec.roundtrip Codec.varint v = v)
 
 let prop_uvarint_roundtrip =
   qtest "uvarint round-trip"
     QCheck.(map abs int)
-    (fun v -> Codec.roundtrip Codec.Writer.uvarint Codec.Reader.uvarint v = v)
+    (fun v -> Codec.roundtrip Codec.uvarint v = v)
 
 let prop_string_roundtrip =
-  qtest "string round-trip" QCheck.(string) (fun s ->
-      Codec.roundtrip Codec.Writer.string Codec.Reader.string s = s)
+  qtest "string round-trip" QCheck.(string) (fun s -> Codec.roundtrip Codec.string s = s)
 
 let prop_f64_roundtrip =
   qtest "f64 round-trip" QCheck.(float) (fun v ->
-      let v' = Codec.roundtrip Codec.Writer.f64 Codec.Reader.f64 v in
+      let v' = Codec.roundtrip Codec.f64 v in
       Int64.bits_of_float v = Int64.bits_of_float v')
+
+(* One record and one variant, each described once with the
+   combinators and once as a hand-written [Writer] reference. *)
+type rec_t = { a : int; b : string; c : float option; d : int list }
+
+let rec_codec =
+  Codec.(
+    record (fun a b c d -> { a; b; c; d })
+    |> field varint (fun r -> r.a)
+    |> field string (fun r -> r.b)
+    |> field (option f64) (fun r -> r.c)
+    |> field (list uvarint) (fun r -> r.d)
+    |> seal)
+
+let rec_reference w r =
+  Codec.Writer.varint w r.a;
+  Codec.Writer.string w r.b;
+  Codec.Writer.option Codec.Writer.f64 w r.c;
+  Codec.Writer.list Codec.Writer.uvarint w r.d
+
+type var_t =
+  | Empty
+  | One of int
+  | Two of string * bool
+  | Three of int * int * string
+  | Five of { p : int; q : string; r : bool; s : int64; t : rec_t }
+
+let var_codec =
+  Codec.(
+    variant "test" (fun empty one two three five w -> function
+      | Empty -> empty w
+      | One n -> one w n
+      | Two (s, b) -> two w s b
+      | Three (x, y, z) -> three w x y z
+      | Five { p; q; r; s; t } -> five w p q r s t)
+    |> case 0 [] Empty
+    |> case 1 [ varint ] (fun n -> One n)
+    |> case 7 [ string; bool ] (fun s b -> Two (s, b))
+    |> case 3 [ uvarint; varint; string ] (fun x y z -> Three (x, y, z))
+    |> case 200 [ uvarint; string; bool; i64; rec_codec ] (fun p q r s t -> Five { p; q; r; s; t })
+    |> sealv)
+
+let var_reference w = function
+  | Empty -> Codec.Writer.u8 w 0
+  | One n ->
+    Codec.Writer.u8 w 1;
+    Codec.Writer.varint w n
+  | Two (s, b) ->
+    Codec.Writer.u8 w 7;
+    Codec.Writer.string w s;
+    Codec.Writer.bool w b
+  | Three (x, y, z) ->
+    Codec.Writer.u8 w 3;
+    Codec.Writer.uvarint w x;
+    Codec.Writer.varint w y;
+    Codec.Writer.string w z
+  | Five { p; q; r; s; t } ->
+    Codec.Writer.u8 w 200;
+    Codec.Writer.uvarint w p;
+    Codec.Writer.string w q;
+    Codec.Writer.bool w r;
+    Codec.Writer.i64 w s;
+    rec_reference w t
+
+let reference_bytes wr v =
+  let w = Codec.Writer.create () in
+  wr w v;
+  Codec.Writer.contents w
+
+let rec_gen =
+  QCheck.Gen.(
+    map
+      (fun (a, b, c, d) -> { a; b; c; d })
+      (quad int string_printable
+         (opt (float_bound_inclusive 1e6))
+         (small_list (map abs small_int))))
+
+let var_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Empty;
+        map (fun n -> One n) int;
+        map2 (fun s b -> Two (s, b)) string_printable bool;
+        map3 (fun x y z -> Three (x, y, z)) (map abs int) int string_printable;
+        map3
+          (fun (p, q) (r, s) t -> Five { p; q; r; s; t })
+          (pair (map abs small_int) string_printable)
+          (pair bool (map Int64.of_int int))
+          rec_gen;
+      ])
+
+let prop_record_roundtrip =
+  qtest "record round-trip, reference bytes" (QCheck.make rec_gen) (fun r ->
+      let bytes = Codec.to_string rec_codec r in
+      bytes = reference_bytes rec_reference r && Codec.of_string rec_codec bytes = r)
+
+let prop_variant_roundtrip =
+  qtest "variant round-trip, reference bytes" (QCheck.make var_gen) (fun v ->
+      let bytes = Codec.to_string var_codec v in
+      bytes = reference_bytes var_reference v && Codec.of_string var_codec bytes = v)
+
+let prop_map_roundtrip =
+  let c =
+    Codec.(map (pair uvarint string) (fun (n, s) -> String.make n 'x' ^ s) (fun s -> (0, s)))
+  in
+  qtest "map round-trip" QCheck.(string) (fun s ->
+      Codec.to_string c s = reference_bytes Codec.Writer.(pair uvarint string) (0, s)
+      && Codec.roundtrip c s = s)
+
+let test_codec_bad_tag () =
+  Alcotest.check_raises "unknown tag" (Codec.Reader.Corrupt "bad test tag 2") (fun () ->
+      ignore (Codec.of_string var_codec "\002"))
+
+let test_codec_array_count () =
+  (* a count of 2^45 elements with one byte behind it: refused before
+     anything is allocated for it *)
+  let w = Codec.Writer.create () in
+  Codec.Writer.uvarint w (1 lsl 45);
+  Codec.Writer.u8 w 0;
+  let r = Codec.Reader.of_string (Codec.Writer.contents w) in
+  Alcotest.check_raises "huge count"
+    (Codec.Reader.Corrupt (Printf.sprintf "array count %d exceeds the 1 bytes left" (1 lsl 45)))
+    (fun () -> ignore (Codec.Reader.array Codec.Reader.u8 r))
 
 (* ------------------------------------------------------------------ *)
 (* Crc32 *)
@@ -300,6 +412,11 @@ let () =
           prop_uvarint_roundtrip;
           prop_string_roundtrip;
           prop_f64_roundtrip;
+          prop_record_roundtrip;
+          prop_variant_roundtrip;
+          prop_map_roundtrip;
+          Alcotest.test_case "unknown variant tag" `Quick test_codec_bad_tag;
+          Alcotest.test_case "array count bound" `Quick test_codec_array_count;
         ] );
       ( "crc32",
         [
