@@ -45,10 +45,9 @@ let filename ?seq t =
   | None -> Printf.sprintf "ckpt_%s_%s.dmtcp" base (Upid.to_string t.upid)
   | Some k -> Printf.sprintf "ckpt_%s_%s.d%d.dmtcp" base (Upid.to_string t.upid) k
 
+module C = Util.Codec
 module W = Util.Codec.Writer
 module R = Util.Codec.Reader
-
-module C = Util.Codec
 
 let sock_state_codec =
   C.(

@@ -216,6 +216,7 @@ let triple a b c =
       let y = b.read r in
       let z = c.read r in
       (x, y, z))
+
 let map c of_ to_ = v (fun w x -> c.write w (to_ x)) (fun r -> of_ (c.read r))
 
 type ('r, 'k) fields = { fwrite : Writer.t -> 'r -> unit; fread : Reader.t -> 'k }
@@ -259,9 +260,9 @@ let rec read_args : type w k v. (w, k, v) args -> Reader.t -> k -> v =
     read_args rest r (k x)
 
 (* The writer (tag, then the values) and the reader of one case.  Up to
-   three values get their own closures, so that writing or reading a
-   case allocates nothing of its own (pages go through here); longer
-   cases take the generic curried path. *)
+   two values get their own closures, so that writing or reading such a
+   case allocates nothing of its own (every page goes through here);
+   longer cases take the generic curried path, one closure per value. *)
 let halves : type w k v. int -> (w, k, v) args -> k -> (Writer.t -> w) * (Reader.t -> v) =
  fun tag args k ->
   match args with
@@ -280,17 +281,6 @@ let halves : type w k v. int -> (w, k, v) args -> k -> (Writer.t -> w) * (Reader
         let x = a.read r in
         let y = b.read r in
         k x y )
-  | [ a; b; c ] ->
-    ( (fun w x y z ->
-        Writer.u8 w tag;
-        a.write w x;
-        b.write w y;
-        c.write w z),
-      fun r ->
-        let x = a.read r in
-        let y = b.read r in
-        let z = c.read r in
-        k x y z )
   | _ ->
     ( (fun w ->
         Writer.u8 w tag;

@@ -43,7 +43,7 @@
     and then the values with the codecs it lists, and reads them back
     into its rebuild function.
 
-    Reading is strict: a variant tag with no case raises
+    Reading is strict: a variant or {!enum} tag with no case raises
     {!Reader.Corrupt} ["bad <name> tag N"], and {!of_string} (hence
     {!roundtrip}, and a program state body, see [Simos.Program]) rejects
     bytes left over after the value. *)
@@ -126,8 +126,8 @@ end
 (** A writer and its reader for one type. *)
 type 'a t
 
-(** [v write read] pairs two hand-written halves: framing, and bulk
-    arrays that need a direct loop. *)
+(** [v write read] pairs two hand-written halves: bulk arrays that need
+    a direct loop, and states the combinators would not shorten. *)
 val v : (Writer.t -> 'a -> unit) -> (Reader.t -> 'a) -> 'a t
 
 val write : 'a t -> Writer.t -> 'a -> unit
