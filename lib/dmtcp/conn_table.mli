@@ -48,7 +48,6 @@ val clone : t -> t
 
 val role_codec : role Util.Codec.t
 val kind_codec : sock_kind Util.Codec.t
-val entry_codec : entry Util.Codec.t
 
 (** The (fd, entry) pairs in fd order. *)
 val codec : t Util.Codec.t

@@ -25,8 +25,8 @@ let capture (proc : Simos.Kernel.process) =
            in
            (* Round-trip the instance through its codec so the snapshot is
               decoupled from the live (mutable) instance. *)
-           let inst = th.Simos.Kernel.inst in
-           { ti_inst = Util.Codec.roundtrip Simos.Program.instance_codec inst; ti_wait })
+           let ti_inst = Util.Codec.roundtrip Simos.Program.instance_codec th.Simos.Kernel.inst in
+           { ti_inst; ti_wait })
   in
   {
     cmdline = proc.Simos.Kernel.cmdline;
