@@ -298,11 +298,11 @@ let case tag args k cs =
   { cs with dest = cs.dest write; readers = (tag, read) :: cs.readers }
 
 let sealv cs =
-  let table = Array.make 256 None in
+  let table = Array.make (List.fold_left (fun n (tag, _) -> max n (tag + 1)) 0 cs.readers) None in
   List.iter (fun (tag, rd) -> table.(tag) <- Some rd) cs.readers;
   let read r =
     let tag = Reader.u8 r in
-    match table.(tag) with
+    match if tag < Array.length table then table.(tag) else None with
     | Some rd -> rd r
     | None -> raise (Reader.Corrupt (Printf.sprintf "bad %s tag %d" cs.vname tag))
   in
