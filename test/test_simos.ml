@@ -250,9 +250,95 @@ module Sleeper = struct
     | Done -> Simos.Program.Exit 0
 end
 
+(* Blocks reading fd [r] of a pipe whose write end it keeps open, while
+   a sibling thread ([Fd_sibling]) changes what [r] names; records what
+   the read finally returns. *)
+module Fd_reader = struct
+  type state = Start of string | Read of int
+
+  let name = "test:fd-reader"
+  let result : string option ref = ref None
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
+  let init ~argv = Start (match argv with [ action ] -> action | _ -> "close")
+
+  let step (ctx : Simos.Program.ctx) st =
+    match st with
+    | Start action ->
+      let r, _w = ctx.pipe () in
+      ignore (ctx.spawn_thread ~prog:"test:fd-sibling" ~argv:[ action; string_of_int r ]);
+      Simos.Program.Block (Read r, Simos.Program.Readable r)
+    | Read r -> (
+      let finish s =
+        result := Some s;
+        Simos.Program.Exit 0
+      in
+      match ctx.read_fd r ~max:64 with
+      | `Data d -> finish d
+      | `Err e -> finish (Simos.Errno.to_string e)
+      | `Eof -> finish "eof"
+      | `Would_block -> Simos.Program.Block (Read r, Simos.Program.Readable r))
+end
+
+(* Sets up ("dup2": a fresh pipe), then writes a file, so a poke
+   rechecks the blocked reader after every fd-table change of the setup;
+   1 ms later it either closes fd [r] ("close") or dup2s the fresh pipe
+   over [r] and writes to that pipe ("dup2"). *)
+module Fd_sibling = struct
+  type state = Poke of string * int | Close of int | Dup2 of int * int * int | Idle
+
+  let name = "test:fd-sibling"
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
+
+  let init ~argv =
+    match argv with [ action; r ] -> Poke (action, int_of_string r) | _ -> Idle
+
+  let step (ctx : Simos.Program.ctx) st =
+    match st with
+    | Poke (action, r) ->
+      let next =
+        if action = "close" then Close r
+        else
+          let pr, pw = ctx.pipe () in
+          Dup2 (r, pr, pw)
+      in
+      (match ctx.open_file "/tmp/fd-sibling" with
+      | Ok fd -> ignore (ctx.write_fd fd "x")
+      | Error _ -> ());
+      Simos.Program.Block (next, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
+    | Close r ->
+      ctx.close_fd r;
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Dup2 (r, pr, pw) ->
+      (match ctx.dup2 ~src:pr ~dst:r with Ok () -> () | Error _ -> failwith "dup2");
+      ignore (ctx.write_fd pw "via-dup2");
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Idle -> Simos.Program.Block (Idle, Simos.Program.Stopped)
+end
+
+(* Execs itself once with argv ["again"] and records the [ctx.argv] the
+   new image sees. *)
+module Argv_exec = struct
+  type state = unit
+
+  let name = "test:argv-exec"
+  let seen : string list option ref = ref None
+  let codec : state Util.Codec.t = Simos.Program.not_checkpointable name
+  let init ~argv:_ = ()
+
+  let step (ctx : Simos.Program.ctx) () =
+    match ctx.argv with
+    | [ _; "again" ] ->
+      seen := Some ctx.argv;
+      Simos.Program.Exit 0
+    | _ -> Simos.Program.Exec { st = (); prog = name; argv = [ "again" ] }
+end
+
 let () =
   List.iter Simos.Program.register
     [
+      (module Fd_reader : Simos.Program.S);
+      (module Fd_sibling);
+      (module Argv_exec);
       (module Counter : Simos.Program.S);
       (module Forker);
       (module Execer);
@@ -495,6 +581,31 @@ let test_fd_sharing_after_dup () =
   (* assertion inside the program would have crashed the engine *)
 
 
+let fd_reader_result action =
+  let c = make_cluster () in
+  Fd_reader.result := None;
+  ignore (Simos.Kernel.spawn (Simos.Cluster.kernel c 0) ~prog:"test:fd-reader" ~argv:[ action ] ());
+  Sim.Engine.run ~until:0.1 (Simos.Cluster.engine c);
+  !Fd_reader.result
+
+let test_close_wakes_reader () =
+  check (Alcotest.option Alcotest.string) "blocked read returns EBADF"
+    (Some (Simos.Errno.to_string Simos.Errno.EBADF))
+    (fd_reader_result "close")
+
+let test_dup2_over_waited_fd () =
+  check (Alcotest.option Alcotest.string) "blocked read sees the dup2'd pipe" (Some "via-dup2")
+    (fd_reader_result "dup2")
+
+let test_argv_after_exec () =
+  let c = make_cluster () in
+  Argv_exec.seen := None;
+  ignore (Simos.Kernel.spawn (Simos.Cluster.kernel c 0) ~prog:"test:argv-exec" ~argv:[] ());
+  Sim.Engine.run ~until:0.01 (Simos.Cluster.engine c);
+  check Alcotest.(option (list string)) "new image reads the new argv"
+    (Some [ "test:argv-exec"; "again" ])
+    !Argv_exec.seen
+
 let test_env_inherited_across_ssh () =
   (* DMTCP_* variables ride ssh to remote processes — the mechanism that
      makes remotely spawned processes hijacked transparently *)
@@ -607,6 +718,9 @@ let () =
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "ssh remote spawn" `Quick test_ssh_spawn;
           Alcotest.test_case "fd sharing after dup2" `Quick test_fd_sharing_after_dup;
+          Alcotest.test_case "close wakes reader" `Quick test_close_wakes_reader;
+          Alcotest.test_case "dup2 over waited fd" `Quick test_dup2_over_waited_fd;
+          Alcotest.test_case "argv after exec" `Quick test_argv_after_exec;
         ] );
       ( "programs",
         [
