@@ -223,13 +223,6 @@ let encode_delta_body t =
 
 let encode_delta ~algo t = Compress.Container.pack ~algo (encode_delta_body t)
 
-let is_delta s =
-  match Compress.Container.unpack s with
-  | body ->
-    String.length body >= String.length delta_magic
-    && String.sub body 0 (String.length delta_magic) = delta_magic
-  | exception _ -> false
-
 let apply_delta ~base s =
   let body = Compress.Container.unpack s in
   let r = R.of_string body in

@@ -90,10 +90,6 @@ val encode_delta : algo:Compress.Algo.t -> t -> string
     is byte-identical to encoding the original full image. *)
 val apply_delta : base:t -> string -> t
 
-(** [true] iff [s] unpacks to a delta-image body (its container is intact
-    and the body leads with the delta magic). *)
-val is_delta : string -> bool
-
 (** [restore_threads kernel proc image] re-creates the image's user
     threads inside [proc] (an empty shell from
     {!Simos.Kernel.create_raw_process}) and installs the restored address

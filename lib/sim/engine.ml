@@ -38,10 +38,13 @@ let pending t =
      unnecessary for its uses (emptiness checks in tests). *)
   t.live
 
+(* Both loops read the minimum's time and then take the event, so a
+   dispatch allocates nothing of its own. *)
 let rec step t =
-  match Util.Heap.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
+  if Util.Heap.is_empty t.queue then false
+  else begin
+    let time = Util.Heap.min_priority t.queue in
+    let ev = Util.Heap.take t.queue in
     t.live <- t.live - 1;
     if ev.cancelled then step t
     else begin
@@ -50,20 +53,21 @@ let rec step t =
       ev.fn ();
       true
     end
+  end
 
 let run ?until ?(max_events = 50_000_000) t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Util.Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, ev) -> (
+    if Util.Heap.is_empty t.queue then continue := false
+    else begin
+      let time = Util.Heap.min_priority t.queue in
       match until with
       | Some limit when time > limit ->
         t.clock <- max t.clock limit;
         continue := false
       | _ ->
-        ignore (Util.Heap.pop t.queue);
+        let ev = Util.Heap.take t.queue in
         t.live <- t.live - 1;
         if not ev.cancelled then begin
           t.clock <- time;
@@ -71,7 +75,8 @@ let run ?until ?(max_events = 50_000_000) t =
           ev.fn ();
           incr count;
           if !count > max_events then failwith "Engine.run: max_events exceeded (livelock?)"
-        end)
+        end
+    end
   done;
   match until with
   | Some limit when t.clock < limit && Util.Heap.is_empty t.queue -> t.clock <- limit

@@ -12,6 +12,20 @@ type thread = {
   mutable generation : int;
   mutable manager : bool;
   mutable wake_handle : Sim.Engine.handle option;
+  cache : step_cache;
+}
+
+(* What one thread's steps and pokes reuse.  [ctx] is rebuilt when
+   [proc.cmdline] (compared physically with [ctx.argv]) or [ctx_wrapped]
+   changes: they are the only values [make_ctx] captures rather than
+   reads at call time.  [waited_fds] holds the descriptions [waited]'s fds
+   named when [proc.fd_gen] was [waited_gen]. *)
+and step_cache = {
+  mutable ctx : Program.ctx option;
+  mutable ctx_wrapped : bool;
+  mutable waited : Program.wait;
+  mutable waited_gen : int;
+  mutable waited_fds : Fdesc.t array;
 }
 
 and pstate = Running | Zombie of int | Reaped
@@ -22,6 +36,7 @@ and process = {
   pnode : int;
   mutable threads : thread list;
   fdtable : (int, Fdesc.t) Hashtbl.t;
+  mutable fd_gen : int;
   mutable next_fd : int;
   mutable space : Mem.Address_space.t;
   mutable env : (string * string) list;
@@ -134,13 +149,14 @@ let trace_proc t ~pid name args =
 (* yield cost between consecutive steps of a runnable thread *)
 let quantum = 2e-6
 
+let rec count_runnable acc = function
+  | [] -> acc
+  | { tstate = Ready; suspended = false; _ } :: rest -> count_runnable (acc + 1) rest
+  | _ :: rest -> count_runnable acc rest
+
 let runnable_threads t =
   Hashtbl.fold
-    (fun _ p acc ->
-      if p.pstate = Running then
-        acc
-        + List.length (List.filter (fun th -> th.tstate = Ready && not th.suspended) p.threads)
-      else acc)
+    (fun _ p acc -> match p.pstate with Running -> count_runnable acc p.threads | _ -> acc)
     t.procs 0
 
 let load_factor t = Float.max 1.0 (float_of_int (runnable_threads t) /. float_of_int t.kcores)
@@ -150,22 +166,34 @@ let load_factor t = Float.max 1.0 (float_of_int (runnable_threads t) /. float_of
 
 let fd_desc proc fd = Hashtbl.find_opt proc.fdtable fd
 
+(* Every insert into and removal from an fd table goes through these
+   two, so [fd_gen] changes whenever an fd number may name a different
+   description. *)
+let fd_set proc fd desc =
+  Hashtbl.replace proc.fdtable fd desc;
+  proc.fd_gen <- proc.fd_gen + 1
+
+let fd_unset proc fd =
+  Hashtbl.remove proc.fdtable fd;
+  proc.fd_gen <- proc.fd_gen + 1
+
+(* A closed fd satisfies a wait on it: the call returns EBADF; wake it. *)
+let fd_readable proc fd =
+  match Hashtbl.find proc.fdtable fd with
+  | d -> Fdesc.readable d
+  | exception Not_found -> true
+
+let rec any_fd_readable proc = function
+  | [] -> false
+  | fd :: rest -> fd_readable proc fd || any_fd_readable proc rest
+
 let wait_satisfied t proc = function
-  | Program.Readable fd -> (
-    match fd_desc proc fd with
-    | None -> true (* read will return EBADF; wake it *)
-    | Some d -> Fdesc.readable d)
-  | Program.Readable_any fds ->
-    List.exists
-      (fun fd ->
-        match fd_desc proc fd with
-        | None -> true
-        | Some d -> Fdesc.readable d)
-      fds
+  | Program.Readable fd -> fd_readable proc fd
+  | Program.Readable_any fds -> any_fd_readable proc fds
   | Program.Writable fd -> (
-    match fd_desc proc fd with
-    | None -> true
-    | Some d -> Fdesc.writable d)
+    match Hashtbl.find proc.fdtable fd with
+    | d -> Fdesc.writable d
+    | exception Not_found -> true)
   | Program.Child ->
     (* wake if there is a zombie child to reap, or no children at all
        (the wait will return ECHILD) *)
@@ -183,6 +211,34 @@ let wait_satisfied t proc = function
     (not !has_child) || !has_zombie
   | Program.Sleep_until deadline -> Sim.Engine.now t.eng >= deadline
   | Program.Stopped -> false
+
+(* The descriptions a blocked thread's wait names, resolved once per
+   (wait value, fd-table generation) so that a poke reads no fd table
+   unless it has changed.  Raises [Not_found] for a closed fd, leaving
+   the cache as it was. *)
+let waited_fds th w =
+  let c = th.cache and proc = th.tproc in
+  if not (c.waited == w && c.waited_gen = proc.fd_gen) then begin
+    c.waited_fds <-
+      (match w with
+      | Program.Readable fd | Program.Writable fd -> [| Hashtbl.find proc.fdtable fd |]
+      | Program.Readable_any fds -> Array.of_list (List.map (Hashtbl.find proc.fdtable) fds)
+      | Program.Sleep_until _ | Program.Child | Program.Stopped -> [||]);
+    c.waited <- w;
+    c.waited_gen <- proc.fd_gen
+  end;
+  c.waited_fds
+
+let rec any_readable fds i = i < Array.length fds && (Fdesc.readable fds.(i) || any_readable fds (i + 1))
+
+(* [wait_satisfied] for a blocked thread, through [waited_fds] *)
+let blocked_ready t th w =
+  match w with
+  | Program.Readable _ | Program.Readable_any _ | Program.Writable _ -> (
+    match waited_fds th w with
+    | exception Not_found -> true
+    | fds -> ( match w with Program.Writable _ -> Fdesc.writable fds.(0) | _ -> any_readable fds 0))
+  | Program.Sleep_until _ | Program.Child | Program.Stopped -> wait_satisfied t th.tproc w
 
 let get_sigaction proc signal =
   Option.value ~default:Sig_default (Hashtbl.find_opt proc.sigtable signal)
@@ -241,8 +297,7 @@ let rec schedule_step t th ~delay =
 
 and run_step t th =
   if th.tstate = Ready && (not th.suspended) && th.tproc.pstate = Running then begin
-    let ctx = make_ctx t th in
-    match Program.step_instance ctx th.inst with
+    match Program.step_instance (ctx_of t th) th.inst with
     | Program.B_continue -> schedule_step t th ~delay:(quantum +. take_fault_debt th.tproc)
     | Program.B_compute dt ->
       schedule_step t th
@@ -280,13 +335,21 @@ and run_step t th =
     | Program.B_exit code -> do_exit t th.tproc code
   end
 
-and make_ctx t th : Program.ctx =
+(* DMTCP's wrappers interpose on the application, not on the injected
+   library itself: manager threads bypass the hook table. *)
+and ctx_of t th =
+  let c = th.cache in
+  let wrapped = th.tproc.hijacked && not th.manager in
+  match c.ctx with
+  | Some ctx when ctx.Program.argv == th.tproc.cmdline && c.ctx_wrapped = wrapped -> ctx
+  | _ ->
+    let ctx = make_ctx t th ~wrapped in
+    c.ctx <- Some ctx;
+    c.ctx_wrapped <- wrapped;
+    ctx
+
+and make_ctx t th ~wrapped : Program.ctx =
   let proc = th.tproc in
-  let check_fd fd k =
-    match fd_desc proc fd with
-    | None -> `Err Errno.EBADF
-    | Some d -> k d
-  in
   let check_fd_res fd k =
     match fd_desc proc fd with
     | None -> Error Errno.EBADF
@@ -300,15 +363,12 @@ and make_ctx t th : Program.ctx =
   let install desc =
     let fd = proc.next_fd in
     proc.next_fd <- fd + 1;
-    Hashtbl.replace proc.fdtable fd desc;
+    fd_set proc fd desc;
     Trace.Metrics.incr m_fd_opens;
     trace_proc t ~pid:proc.pid "fd/open" [ ("fd", string_of_int fd) ];
     fd
   in
   let bind_wake_sock s = Simnet.Fabric.on_activity s (fun () -> poke_later t) in
-  (* DMTCP's wrappers interpose on the application, not on the injected
-     library itself: manager threads bypass the hook table. *)
-  let wrapped = proc.hijacked && not th.manager in
   let new_socket unix =
     let s = if unix then Simnet.Fabric.socket_unix t.fab ~host:t.knode_id else Simnet.Fabric.socket t.fab ~host:t.knode_id in
     bind_wake_sock s;
@@ -344,7 +404,9 @@ and make_ctx t th : Program.ctx =
     read_fd =
       (fun fd ~max ->
         let res =
-          check_fd fd (fun d ->
+          match Hashtbl.find proc.fdtable fd with
+          | exception Not_found -> `Err Errno.EBADF
+          | d -> (
             match d.Fdesc.kind with
             | Fdesc.File f ->
               let data = Vfs.read_at f.file ~pos:f.offset ~len:max in
@@ -355,20 +417,12 @@ and make_ctx t th : Program.ctx =
               end
             | Fdesc.Sock s -> (
               match Simnet.Fabric.recv s ~max with
-              | `Data d -> `Data d
-              | `Eof -> `Eof
-              | `Would_block -> `Would_block
+              | (`Data _ | `Eof | `Would_block) as r -> r
               | `Error _ -> `Err Errno.ENOTCONN)
             | Fdesc.Pipe_r p -> (Pipe.read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ])
             | Fdesc.Pipe_w _ -> `Err Errno.EINVAL
-            | Fdesc.Pty_m p -> (
-              match Pty.master_read p ~max with
-              | `Data d -> `Data d
-              | `Would_block -> `Would_block)
-            | Fdesc.Pty_s p -> (
-              match Pty.slave_read p ~max with
-              | `Data d -> `Data d
-              | `Would_block -> `Would_block))
+            | Fdesc.Pty_m p -> (Pty.master_read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ])
+            | Fdesc.Pty_s p -> (Pty.slave_read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ]))
         in
         (match res with
         | `Data d -> Trace.Metrics.add m_read_bytes (float_of_int (String.length d))
@@ -377,7 +431,9 @@ and make_ctx t th : Program.ctx =
     write_fd =
       (fun fd data ->
         let res =
-          check_fd_res fd (fun d ->
+          match Hashtbl.find proc.fdtable fd with
+          | exception Not_found -> Error Errno.EBADF
+          | d -> (
             match d.Fdesc.kind with
             | Fdesc.File f ->
               Vfs.write_at f.file ~pos:f.offset data;
@@ -386,7 +442,7 @@ and make_ctx t th : Program.ctx =
               Ok (String.length data)
             | Fdesc.Sock s -> (
               match Simnet.Fabric.send s data with
-              | Ok n -> Ok n
+              | Ok _ as ok -> ok
               | Error Simnet.Fabric.Refused -> Error Errno.ECONNREFUSED
               | Error _ -> Error Errno.ENOTCONN)
             | Fdesc.Pipe_r _ -> Error Errno.EINVAL
@@ -414,7 +470,7 @@ and make_ctx t th : Program.ctx =
             if src <> dst then begin
               (match fd_desc proc dst with
               | Some old -> begin
-                Hashtbl.remove proc.fdtable dst;
+                fd_unset proc dst;
                 decr_desc old
               end
               | None -> ());
@@ -423,7 +479,7 @@ and make_ctx t th : Program.ctx =
               | Fdesc.Pipe_r p -> Pipe.add_reader p
               | Fdesc.Pipe_w p -> Pipe.add_writer p
               | _ -> ());
-              Hashtbl.replace proc.fdtable dst d;
+              fd_set proc dst d;
               proc.next_fd <- max proc.next_fd (dst + 1)
             end;
             Ok ()));
@@ -623,7 +679,7 @@ and remove_fd t proc ~fd =
   | None -> ()
   | Some desc ->
     if proc.hijacked then t.khooks.on_close t proc ~fd desc;
-    Hashtbl.remove proc.fdtable fd;
+    fd_unset proc fd;
     Trace.Metrics.incr m_fd_closes;
     trace_proc t ~pid:proc.pid "fd/close" [ ("fd", string_of_int fd) ];
     decr_desc desc;
@@ -642,18 +698,17 @@ and poke_later t =
   end
 
 and poke t =
-  Hashtbl.iter
-    (fun _ proc ->
-      if proc.pstate = Running then
-        List.iter
-          (fun th ->
-            match th.tstate with
-            | Blocked w when (not th.suspended) && wait_satisfied t proc w ->
-              th.tstate <- Ready;
-              schedule_step t th ~delay:0.
-            | _ -> ())
-          proc.threads)
-    t.procs
+  Hashtbl.iter (fun _ proc -> match proc.pstate with Running -> poke_threads t proc.threads | _ -> ()) t.procs
+
+and poke_threads t = function
+  | [] -> ()
+  | th :: rest ->
+    (match th.tstate with
+    | Blocked w when (not th.suspended) && blocked_ready t th w ->
+      th.tstate <- Ready;
+      schedule_step t th ~delay:0.
+    | _ -> ());
+    poke_threads t rest
 
 and kill_thread th =
   th.tstate <- Dead;
@@ -678,6 +733,7 @@ and spawn_internal t ~prog ~argv ~env ~ppid ~hijacked =
       pnode = t.knode_id;
       threads = [];
       fdtable = Hashtbl.create 8;
+      fd_gen = 0;
       next_fd = 3;
       space = Mem.Address_space.create ();
       env;
@@ -720,6 +776,7 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
       generation = 0;
       manager;
       wake_handle = None;
+      cache = { ctx = None; ctx_wrapped = false; waited = Program.Stopped; waited_gen = 0; waited_fds = [||] };
     }
   in
   proc.threads <- proc.threads @ [ th ];
@@ -738,6 +795,7 @@ and do_fork t parent child_inst =
       pnode = t.knode_id;
       threads = [];
       fdtable = Hashtbl.copy parent.fdtable;
+      fd_gen = 0;
       next_fd = parent.next_fd;
       space = Mem.Address_space.fork parent.space;
       env = parent.env;
@@ -853,6 +911,7 @@ let create_raw_process t ~pid ~ppid ~env ~hijacked =
       pnode = t.knode_id;
       threads = [];
       fdtable = Hashtbl.create 8;
+      fd_gen = 0;
       next_fd = 3;
       space = Mem.Address_space.create ();
       env;
@@ -935,7 +994,7 @@ let proc_maps proc =
 
 let fd_desc proc fd = fd_desc proc fd
 let install_fd t proc ~fd desc =
-  Hashtbl.replace proc.fdtable fd desc;
+  fd_set proc fd desc;
   proc.next_fd <- max proc.next_fd (fd + 1);
   (* (re)bind wake-ups of the underlying object to this kernel *)
   (match desc.Fdesc.kind with

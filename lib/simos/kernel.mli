@@ -27,7 +27,10 @@ type thread = {
   mutable manager : bool;     (** DMTCP checkpoint-manager thread *)
   mutable wake_handle : Sim.Engine.handle option;
       (** pending sleep wake-up, cancelled when the thread dies *)
+  cache : step_cache;  (** the kernel's per-thread scheduling cache *)
 }
+
+and step_cache
 
 and pstate = Running | Zombie of int | Reaped
 
@@ -37,6 +40,10 @@ and process = {
   pnode : int;
   mutable threads : thread list;
   fdtable : (int, Fdesc.t) Hashtbl.t;
+      (** read-only outside the kernel: change it through {!install_fd},
+          {!alloc_fd} and {!remove_fd} *)
+  mutable fd_gen : int;
+      (** counts every insert into and removal from [fdtable] *)
   mutable next_fd : int;
   mutable space : Mem.Address_space.t;
   mutable env : (string * string) list;

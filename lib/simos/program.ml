@@ -124,20 +124,24 @@ let instantiate ~name ~argv =
   | None -> raise Not_found
   | Some (module P) -> Instance { prog = (module P); st = P.init ~argv }
 
-(* (name, state body): the body is a string of its own, read back
-   strictly, so a state codec that reads less than it wrote fails here
-   instead of restoring a silently wrong state *)
+(* (name, state body): the body is framed as a string of its own and
+   read back strictly, so a state codec that reads less than it wrote
+   fails here instead of restoring a silently wrong state *)
 let instance_codec =
-  Util.Codec.v
-    (fun w (Instance { prog = (module P); st }) ->
-      Util.Codec.Writer.string w P.name;
-      Util.Codec.Writer.string w (Util.Codec.to_string P.codec st))
-    (fun r ->
-      let name = Util.Codec.Reader.string r in
-      let body = Util.Codec.Reader.string r in
-      match Hashtbl.find_opt registry name with
-      | None -> raise Not_found
-      | Some (module P) -> Instance { prog = (module P); st = Util.Codec.of_string P.codec body })
+  Util.Codec.(
+    v
+      (fun w (Instance { prog = (module P); st }) ->
+        Writer.string w P.name;
+        Writer.prefixed (write P.codec) w st)
+      (fun r ->
+        let name = Reader.string r in
+        let body = Reader.sub r (Reader.uvarint r) in
+        match Hashtbl.find_opt registry name with
+        | None -> raise Not_found
+        | Some (module P) ->
+          let st = read P.codec body in
+          Reader.expect_end body;
+          Instance { prog = (module P); st }))
 
 let not_checkpointable name =
   let fail _ = failwith (name ^ " is not checkpointable") in

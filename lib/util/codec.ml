@@ -68,6 +68,25 @@ module Writer = struct
 
   let bytes t b = string t (Bytes.unsafe_to_string b)
 
+  let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
+
+  (* one byte is reserved for the length; the body moves up in place
+     when its length needs more *)
+  let prefixed enc t v =
+    let slot = t.len in
+    u8 t 0;
+    enc t v;
+    let n = t.len - slot - 1 in
+    let extra = uvarint_size n - 1 in
+    if extra > 0 then begin
+      ensure t extra;
+      Bytes.blit t.buf (slot + 1) t.buf (slot + 1 + extra) n
+    end;
+    let stop = t.len + extra in
+    t.len <- slot;
+    uvarint t n;
+    t.len <- stop
+
   let option enc t = function
     | None -> bool t false
     | Some v ->
@@ -164,6 +183,12 @@ module Reader = struct
     raw t n
 
   let bytes t = Bytes.unsafe_of_string (string t)
+
+  let sub t n =
+    need t n;
+    let r = { src = t.src; limit = t.pos + n; pos = t.pos } in
+    t.pos <- t.pos + n;
+    r
 
   let option dec t = if bool t then Some (dec t) else None
 

@@ -79,6 +79,11 @@ module Writer : sig
   (** Raw bytes, no length prefix. *)
   val raw : t -> string -> unit
 
+  (** [prefixed enc t v] writes [v] with [enc] behind its byte length,
+      framed as {!string} frames a string, without writing it anywhere
+      else first. *)
+  val prefixed : (t -> 'a -> unit) -> t -> 'a -> unit
+
   val option : (t -> 'a -> unit) -> t -> 'a option -> unit
   val list : (t -> 'a -> unit) -> t -> 'a list -> unit
   val array : (t -> 'a -> unit) -> t -> 'a array -> unit
@@ -111,6 +116,10 @@ module Reader : sig
 
   (** [raw t n] reads exactly [n] bytes. *)
   val raw : t -> int -> string
+
+  (** [sub t n] is a reader over the next [n] bytes alone, which [t]
+      skips; nothing is copied. *)
+  val sub : t -> int -> t
 
   val option : (t -> 'a) -> t -> 'a option
   val list : (t -> 'a) -> t -> 'a list

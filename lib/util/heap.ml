@@ -53,12 +53,12 @@ let push t ~priority value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t =
-  if t.size = 0 then None
-  else match t.data.(0) with Entry e -> Some (e.priority, e.value) | Empty -> assert false
+let min_priority t =
+  if t.size = 0 then invalid_arg "Heap.min_priority: empty heap"
+  else match t.data.(0) with Entry e -> e.priority | Empty -> assert false
 
-let pop t =
-  if t.size = 0 then None
+let take t =
+  if t.size = 0 then invalid_arg "Heap.take: empty heap"
   else
     match t.data.(0) with
     | Empty -> assert false
@@ -68,4 +68,10 @@ let pop t =
       t.data.(0) <- t.data.(last);
       t.data.(last) <- Empty;
       if last > 0 then sift_down t 0;
-      Some (top.priority, top.value)
+      top.value
+
+let pop t =
+  if t.size = 0 then None
+  else
+    let priority = min_priority t in
+    Some (priority, take t)

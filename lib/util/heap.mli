@@ -14,7 +14,14 @@ val is_empty : 'a t -> bool
 (** [push h ~priority v] inserts [v]. *)
 val push : 'a t -> priority:float -> 'a -> unit
 
-(** Smallest entry, as [(priority, value)]. *)
-val peek : 'a t -> (float * 'a) option
+(** Priority of the smallest entry.  Raises [Invalid_argument] when empty. *)
+val min_priority : 'a t -> float
 
+(** Remove the smallest entry and return its value.  Raises
+    [Invalid_argument] when empty.  With {!min_priority} this is {!pop}
+    without the option and the pair, for a caller that pops on every
+    event. *)
+val take : 'a t -> 'a
+
+(** Remove the smallest entry, as [(priority, value)]. *)
 val pop : 'a t -> (float * 'a) option

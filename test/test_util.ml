@@ -118,6 +118,37 @@ let test_codec_uvarint_negative () =
   Alcotest.check_raises "negative uvarint" (Invalid_argument "Codec.Writer.uvarint: negative")
     (fun () -> Codec.Writer.uvarint w (-1))
 
+(* [prefixed] frames a body exactly as [string] frames the same bytes,
+   also where the length needs a second or third uvarint byte and the
+   body has to move up *)
+let test_codec_prefixed () =
+  List.iter
+    (fun n ->
+      let body = String.init n (fun i -> Char.chr (i land 0xff)) in
+      let via enc =
+        let w = Codec.Writer.create ~capacity:16 () in
+        Codec.Writer.u8 w 0xAB;
+        enc w;
+        Codec.Writer.u8 w 0xCD;
+        Codec.Writer.contents w
+      in
+      check Alcotest.string (Printf.sprintf "%d-byte body" n)
+        (via (fun w -> Codec.Writer.string w body))
+        (via (fun w -> Codec.Writer.prefixed Codec.Writer.raw w body)))
+    [ 0; 1; 127; 128; 300; 16383; 16384; 70000 ]
+
+let test_codec_sub () =
+  let r = Codec.Reader.of_string "abcdef" in
+  ignore (Codec.Reader.u8 r);
+  let sub = Codec.Reader.sub r 3 in
+  check Alcotest.string "sub reads its bytes" "bc" (Codec.Reader.raw sub 2);
+  Alcotest.check_raises "sub stops at its bound"
+    (Codec.Reader.Corrupt "truncated input (need 2 bytes, have 1)") (fun () ->
+      ignore (Codec.Reader.raw sub 2));
+  check Alcotest.string "parent skips the sub's bytes" "ef" (Codec.Reader.raw r 2);
+  Alcotest.check_raises "sub past the end" (Codec.Reader.Corrupt "truncated input (need 1 bytes, have 0)")
+    (fun () -> ignore (Codec.Reader.sub r 1))
+
 let test_codec_containers () =
   let c = Codec.(triple varint (list string) (option f64)) in
   let v = (-77, [ "a"; ""; "xyz" ], Some 2.5) in
@@ -365,6 +396,42 @@ let prop_heap_fifo_ties =
          drain [] = List.init (n + 1) Fun.id))
 
 
+(* [min_priority] then [take] is [pop]: over any interleaving of pushes
+   and removals, with priorities drawn from few values so ties are
+   common, both heaps hand back the same (priority, value) sequence. *)
+let prop_heap_take_is_pop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"take follows pop order"
+       QCheck.(list (option (int_bound 4)))
+       (fun ops ->
+         let a = Heap.create () and b = Heap.create () in
+         let take_one () =
+           let p = Heap.min_priority b in
+           (p, Heap.take b)
+         in
+         let same = ref true in
+         List.iteri
+           (fun i op ->
+             match op with
+             | Some p ->
+               Heap.push a ~priority:(float_of_int p) i;
+               Heap.push b ~priority:(float_of_int p) i
+             | None -> (
+               match Heap.pop a with
+               | None -> same := !same && Heap.is_empty b
+               | Some e -> same := !same && e = take_one ()))
+           ops;
+         while not (Heap.is_empty a) do
+           same := !same && Option.get (Heap.pop a) = take_one ()
+         done;
+         !same && Heap.is_empty b))
+
+let test_heap_take_empty () =
+  let h : int Heap.t = Heap.create () in
+  Alcotest.check_raises "min_priority" (Invalid_argument "Heap.min_priority: empty heap") (fun () ->
+      ignore (Heap.min_priority h));
+  Alcotest.check_raises "take" (Invalid_argument "Heap.take: empty heap") (fun () -> ignore (Heap.take h))
+
 (* Retention: a popped value must not stay reachable from the heap's
    backing array.  Track every pushed value weakly, pop them all and run
    a full major GC while the (now empty) heap is still live. *)
@@ -408,6 +475,8 @@ let () =
           Alcotest.test_case "trailing bytes" `Quick test_codec_trailing;
           Alcotest.test_case "negative uvarint" `Quick test_codec_uvarint_negative;
           Alcotest.test_case "containers" `Quick test_codec_containers;
+          Alcotest.test_case "prefixed framing" `Quick test_codec_prefixed;
+          Alcotest.test_case "sub reader bounds" `Quick test_codec_sub;
           prop_varint_roundtrip;
           prop_uvarint_roundtrip;
           prop_string_roundtrip;
@@ -439,6 +508,8 @@ let () =
         [
           prop_heap_sorted;
           prop_heap_fifo_ties;
+          prop_heap_take_is_pop;
+          Alcotest.test_case "take on empty heap" `Quick test_heap_take_empty;
           Alcotest.test_case "popped values are released" `Quick test_heap_pop_releases;
         ] );
     ]
