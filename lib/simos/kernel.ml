@@ -146,6 +146,8 @@ let trace_proc t ~pid name args =
   if Trace.on () then
     Trace.instant ~node:t.knode_id ~pid ~cat:"kernel" ~name ~args ~time:(Sim.Engine.now t.eng) ()
 
+type read_result = [ `Data of string | `Eof | `Would_block | `Err of Errno.t ]
+
 (* yield cost between consecutive steps of a runnable thread *)
 let quantum = 2e-6
 
@@ -229,7 +231,8 @@ let waited_fds th w =
   end;
   c.waited_fds
 
-let rec any_readable fds i = i < Array.length fds && (Fdesc.readable fds.(i) || any_readable fds (i + 1))
+let rec any_readable fds i =
+  i < Array.length fds && (Fdesc.readable fds.(i) || any_readable fds (i + 1))
 
 (* [wait_satisfied] for a blocked thread, through [waited_fds] *)
 let blocked_ready t th w =
@@ -419,10 +422,10 @@ and make_ctx t th ~wrapped : Program.ctx =
               match Simnet.Fabric.recv s ~max with
               | (`Data _ | `Eof | `Would_block) as r -> r
               | `Error _ -> `Err Errno.ENOTCONN)
-            | Fdesc.Pipe_r p -> (Pipe.read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ])
+            | Fdesc.Pipe_r p -> (Pipe.read p ~max :> read_result)
             | Fdesc.Pipe_w _ -> `Err Errno.EINVAL
-            | Fdesc.Pty_m p -> (Pty.master_read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ])
-            | Fdesc.Pty_s p -> (Pty.slave_read p ~max :> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ]))
+            | Fdesc.Pty_m p -> (Pty.master_read p ~max :> read_result)
+            | Fdesc.Pty_s p -> (Pty.slave_read p ~max :> read_result))
         in
         (match res with
         | `Data d -> Trace.Metrics.add m_read_bytes (float_of_int (String.length d))
@@ -698,7 +701,9 @@ and poke_later t =
   end
 
 and poke t =
-  Hashtbl.iter (fun _ proc -> match proc.pstate with Running -> poke_threads t proc.threads | _ -> ()) t.procs
+  Hashtbl.iter
+    (fun _ proc -> match proc.pstate with Running -> poke_threads t proc.threads | _ -> ())
+    t.procs
 
 and poke_threads t = function
   | [] -> ()
@@ -776,7 +781,8 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
       generation = 0;
       manager;
       wake_handle = None;
-      cache = { ctx = None; ctx_wrapped = false; waited = Program.Stopped; waited_gen = 0; waited_fds = [||] };
+      cache =
+        { ctx = None; ctx_wrapped = false; waited = Program.Stopped; waited_gen = 0; waited_fds = [||] };
     }
   in
   proc.threads <- proc.threads @ [ th ];
