@@ -179,45 +179,26 @@ let fd_unset proc fd =
   Hashtbl.remove proc.fdtable fd;
   proc.fd_gen <- proc.fd_gen + 1
 
-(* A closed fd satisfies a wait on it: the call returns EBADF; wake it. *)
-let fd_readable proc fd =
-  match Hashtbl.find proc.fdtable fd with
-  | d -> Fdesc.readable d
-  | exception Not_found -> true
+(* A wait for a child is satisfied by a zombie child to reap, or by no
+   children at all (the wait will return ECHILD). *)
+let child_waitable t proc =
+  let has_child = ref false in
+  let has_zombie = ref false in
+  Hashtbl.iter
+    (fun _ p ->
+      if p.ppid = proc.pid && p.pstate <> Reaped then begin
+        has_child := true;
+        match p.pstate with
+        | Zombie _ -> has_zombie := true
+        | Running | Reaped -> ()
+      end)
+    t.procs;
+  (not !has_child) || !has_zombie
 
-let rec any_fd_readable proc = function
-  | [] -> false
-  | fd :: rest -> fd_readable proc fd || any_fd_readable proc rest
-
-let wait_satisfied t proc = function
-  | Program.Readable fd -> fd_readable proc fd
-  | Program.Readable_any fds -> any_fd_readable proc fds
-  | Program.Writable fd -> (
-    match Hashtbl.find proc.fdtable fd with
-    | d -> Fdesc.writable d
-    | exception Not_found -> true)
-  | Program.Child ->
-    (* wake if there is a zombie child to reap, or no children at all
-       (the wait will return ECHILD) *)
-    let has_child = ref false in
-    let has_zombie = ref false in
-    Hashtbl.iter
-      (fun _ p ->
-        if p.ppid = proc.pid && p.pstate <> Reaped then begin
-          has_child := true;
-          match p.pstate with
-          | Zombie _ -> has_zombie := true
-          | Running | Reaped -> ()
-        end)
-      t.procs;
-    (not !has_child) || !has_zombie
-  | Program.Sleep_until deadline -> Sim.Engine.now t.eng >= deadline
-  | Program.Stopped -> false
-
-(* The descriptions a blocked thread's wait names, resolved once per
-   (wait value, fd-table generation) so that a poke reads no fd table
-   unless it has changed.  Raises [Not_found] for a closed fd, leaving
-   the cache as it was. *)
+(* The descriptions a thread's wait names, resolved once per (wait
+   value, fd-table generation), so that rechecking a wait reads no fd
+   table unless it has changed.  Raises [Not_found] for a closed fd,
+   leaving the cache as it was. *)
 let waited_fds th w =
   let c = th.cache and proc = th.tproc in
   if not (c.waited == w && c.waited_gen = proc.fd_gen) then begin
@@ -234,14 +215,18 @@ let waited_fds th w =
 let rec any_readable fds i =
   i < Array.length fds && (Fdesc.readable fds.(i) || any_readable fds (i + 1))
 
-(* [wait_satisfied] for a blocked thread, through [waited_fds] *)
-let blocked_ready t th w =
+(* Whether thread [th]'s wait [w] is satisfied, reading fds through
+   [waited_fds].  A closed fd satisfies a wait on it: the call returns
+   EBADF; wake it. *)
+let wait_satisfied t th w =
   match w with
   | Program.Readable _ | Program.Readable_any _ | Program.Writable _ -> (
     match waited_fds th w with
     | exception Not_found -> true
     | fds -> ( match w with Program.Writable _ -> Fdesc.writable fds.(0) | _ -> any_readable fds 0))
-  | Program.Sleep_until _ | Program.Child | Program.Stopped -> wait_satisfied t th.tproc w
+  | Program.Child -> child_waitable t th.tproc
+  | Program.Sleep_until deadline -> Sim.Engine.now t.eng >= deadline
+  | Program.Stopped -> false
 
 let get_sigaction proc signal =
   Option.value ~default:Sig_default (Hashtbl.find_opt proc.sigtable signal)
@@ -306,7 +291,7 @@ and run_step t th =
       schedule_step t th
         ~delay:(Float.max quantum (dt *. load_factor t) +. take_fault_debt th.tproc)
     | Program.B_block w ->
-      if wait_satisfied t th.tproc w then
+      if wait_satisfied t th w then
         schedule_step t th ~delay:(quantum +. take_fault_debt th.tproc)
       else begin
         th.tstate <- Blocked w;
@@ -709,7 +694,7 @@ and poke_threads t = function
   | [] -> ()
   | th :: rest ->
     (match th.tstate with
-    | Blocked w when (not th.suspended) && blocked_ready t th w ->
+    | Blocked w when (not th.suspended) && wait_satisfied t th w ->
       th.tstate <- Ready;
       schedule_step t th ~delay:0.
     | _ -> ());
@@ -969,7 +954,7 @@ let resume_user_threads t proc =
         th.suspended <- false;
         match th.tstate with
         | Ready -> schedule_step t th ~delay:0.
-        | Blocked w -> if wait_satisfied t proc w then begin
+        | Blocked w -> if wait_satisfied t th w then begin
             th.tstate <- Ready;
             schedule_step t th ~delay:0.
           end

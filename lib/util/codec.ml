@@ -127,7 +127,11 @@ module Reader = struct
 
   let remaining t = t.limit - t.pos
 
-  let need t n = if remaining t < n then corrupt "truncated input (need %d bytes, have %d)" n (remaining t)
+  (* [n] may come from the input (a length prefix), so refuse a negative
+     one before it can move [pos] backwards *)
+  let need t n =
+    if n < 0 then corrupt "negative length %d" n;
+    if remaining t < n then corrupt "truncated input (need %d bytes, have %d)" n (remaining t)
 
   let u8 t =
     need t 1;

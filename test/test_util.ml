@@ -147,7 +147,14 @@ let test_codec_sub () =
       ignore (Codec.Reader.raw sub 2));
   check Alcotest.string "parent skips the sub's bytes" "ef" (Codec.Reader.raw r 2);
   Alcotest.check_raises "sub past the end" (Codec.Reader.Corrupt "truncated input (need 1 bytes, have 0)")
-    (fun () -> ignore (Codec.Reader.sub r 1))
+    (fun () -> ignore (Codec.Reader.sub r 1));
+  (* a 9-byte uvarint decodes to a negative int *)
+  let r = Codec.Reader.of_string (String.make 8 '\xff' ^ "\x7fxyz") in
+  let n = Codec.Reader.uvarint r in
+  Alcotest.check_raises "negative sub length" (Codec.Reader.Corrupt "negative length -1") (fun () ->
+      ignore (Codec.Reader.sub r n));
+  Alcotest.check_raises "negative raw length" (Codec.Reader.Corrupt "negative length -1") (fun () ->
+      ignore (Codec.Reader.raw r n))
 
 let test_codec_containers () =
   let c = Codec.(triple varint (list string) (option f64)) in
